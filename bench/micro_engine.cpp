@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "fault/injector.hpp"
+#include "fec/adapt.hpp"
 #include "fec/codec.hpp"
 #include "obs/live/publisher.hpp"
 #include "net/network.hpp"
@@ -1078,6 +1079,41 @@ void BM_FecDecodeBurst(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ops * kFrame));
 }
 BENCHMARK(BM_FecDecodeBurst);
+
+void BM_AdaptiveFitterRefresh(benchmark::State& state) {
+  // Receiver-side Gilbert fitting on the FEC feedback path (DESIGN.md §15):
+  // each op records one symbol into a full 2048-deep loss record and re-fits
+  // it, the per-symbol worst case of the sink (which refits once per
+  // feedback tick). Transition counts are kept incrementally, so the cost
+  // is independent of the window; `allocs_per_op` must be 0.00.
+  constexpr std::size_t kWindow = 2048;
+  constexpr std::size_t kPattern = 4096;  // power of two: index by mask
+  util::Rng rng(13);
+  // Bursty loss pattern drawn once up front (Gilbert p=0.05, q=0.25), so the
+  // RNG stays out of the timed loop.
+  std::array<bool, kPattern> pattern{};
+  bool bad = false;
+  for (bool& lost : pattern) {
+    bad = bad ? !rng.chance(0.25) : rng.chance(0.05);
+    lost = bad;
+  }
+  fec::AdaptiveFitter fitter(kWindow);
+  for (std::size_t i = 0; i < kWindow; ++i) fitter.push(pattern[i]);
+  std::uint64_t ops = 0;
+  const std::uint64_t allocs_before = g_heap_allocs.load();
+  for (auto _ : state) {
+    fitter.push(pattern[(kWindow + ops) & (kPattern - 1)]);
+    const analysis::GilbertFit& fit = fitter.refresh();
+    benchmark::DoNotOptimize(&fit);
+    ++ops;
+  }
+  const std::uint64_t allocs = g_heap_allocs.load() - allocs_before;
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs) / static_cast<double>(ops == 0 ? 1 : ops);
+  state.counters["allocs_total"] = static_cast<double>(allocs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+BENCHMARK(BM_AdaptiveFitterRefresh);
 
 }  // namespace
 

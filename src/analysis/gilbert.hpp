@@ -37,6 +37,41 @@ struct GilbertFit {
   [[nodiscard]] double burstiness_vs_bernoulli() const;
 };
 
+/// Sufficient statistics of a loss-indicator sequence: its sample and loss
+/// counts and its four transition counts. fit() is the one place the Gilbert
+/// estimator is written down; fit_gilbert() counts a whole sequence and
+/// online fitters (fec::AdaptiveFitter) keep these counts over a sliding
+/// window, adding and removing one sample and one transition at a time.
+struct GilbertCounts {
+  std::size_t gg = 0;      ///< delivered -> delivered transitions
+  std::size_t gb = 0;      ///< delivered -> lost
+  std::size_t bg = 0;      ///< lost -> delivered
+  std::size_t bb = 0;      ///< lost -> lost
+  std::size_t losses = 0;  ///< samples lost
+  std::size_t n = 0;       ///< samples
+
+  void add_sample(bool lost) {
+    ++n;
+    losses += lost ? 1 : 0;
+  }
+  void remove_sample(bool lost) {
+    --n;
+    losses -= lost ? 1 : 0;
+  }
+  /// Count / uncount the transition from sample `prev` to its successor.
+  void add(bool prev, bool next) { ++transition(prev, next); }
+  void remove(bool prev, bool next) { --transition(prev, next); }
+
+  /// Maximum-likelihood fit. With fewer than 2 samples every field is zero
+  /// and the fit is low-confidence.
+  [[nodiscard]] GilbertFit fit() const;
+
+ private:
+  std::size_t& transition(bool prev, bool next) {
+    return prev ? (next ? bb : bg) : (next ? gb : gg);
+  }
+};
+
 /// Fit from a per-packet loss indicator sequence (true = lost), in send
 /// order. Requires at least 2 packets; degenerate sequences (no losses or
 /// all losses) produce zero transition probabilities on the missing side.

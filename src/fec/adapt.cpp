@@ -3,29 +3,37 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/invariant.hpp"
+
 namespace lossburst::fec {
 
 AdaptiveFitter::AdaptiveFitter(std::size_t window) {
-  // lossburst-lint: allow(datapath-alloc): one-time ring/scratch pre-size
-  ring_.assign(window, 0);
-  scratch_.reserve(window);
+  LOSSBURST_INVARIANT(window >= 2, "fec: fit window must hold at least 2 symbols");
+  // lossburst-lint: allow(datapath-alloc): one-time ring pre-size
+  ring_.assign(std::max<std::size_t>(window, 2), 0);
 }
 
 void AdaptiveFitter::push(bool lost) {
+  const std::size_t cap = ring_.size();
+  if (counts_.n == cap) {
+    // Evict the oldest sample (at head_) and its transition to the
+    // second-oldest; cap >= 2, so that one is a distinct slot.
+    const std::size_t second = head_ + 1 == cap ? 0 : head_ + 1;
+    const bool oldest = ring_[head_] != 0;
+    counts_.remove(oldest, ring_[second] != 0);
+    counts_.remove_sample(oldest);
+  }
+  if (counts_.n > 0) {
+    const std::size_t newest = head_ == 0 ? cap - 1 : head_ - 1;
+    counts_.add(ring_[newest] != 0, lost);
+  }
+  counts_.add_sample(lost);
   ring_[head_] = lost ? 1 : 0;
-  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-  if (count_ < ring_.size()) ++count_;
+  head_ = head_ + 1 == cap ? 0 : head_ + 1;
 }
 
 const analysis::GilbertFit& AdaptiveFitter::refresh() {
-  scratch_.clear();
-  const std::size_t start = count_ < ring_.size() ? 0 : head_;
-  for (std::size_t i = 0; i < count_; ++i) {
-    std::size_t idx = start + i;
-    if (idx >= ring_.size()) idx -= ring_.size();
-    scratch_.push_back(ring_[idx] != 0);
-  }
-  const analysis::GilbertFit candidate = analysis::fit_gilbert(scratch_);
+  const analysis::GilbertFit candidate = counts_.fit();
   if (candidate.low_confidence && have_fit_) {
     // Hold the last trustworthy estimate; the degenerate candidate would
     // slew p/q to 0 and whipsaw the controller.

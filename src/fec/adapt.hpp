@@ -2,10 +2,11 @@
 //
 // The closed loop the paper's "implications" section asks for: the
 // *receiver* maintains a bounded record of per-symbol loss indicators
-// (gap-detected against the deterministic source schedule), periodically
-// runs analysis::fit_gilbert over it, and feeds the fitted (p, q) back to
-// the sender. The *sender*-side RepairController turns the fit into three
-// knobs:
+// (gap-detected against the deterministic source schedule), keeps the
+// record's Gilbert transition counts up to date as symbols arrive
+// (analysis::GilbertCounts: O(1) per symbol and per fit), and periodically
+// feeds the fitted (p, q) back to the sender. The *sender*-side
+// RepairController turns the fit into three knobs:
 //   - repair rate: stationary loss times the fitted mean burst length times
 //     a safety margin, capped by the redundancy budget. The burst factor is
 //     the point: a burst of B erasures needs B innovative repairs before the
@@ -25,9 +26,9 @@
 // trickle and recovery rides on NACK-driven retransmissions — and returns
 // when the fit improves (hysteresis on both edges).
 //
-// fit_gilbert flags low-confidence records (fewer than 2 state changes);
-// both the fitter and the controller *hold* their previous estimate in
-// that case instead of slewing to a degenerate p/q.
+// GilbertCounts::fit flags low-confidence records (fewer than 2 state
+// changes); both the fitter and the controller *hold* their previous
+// estimate in that case instead of slewing to a degenerate p/q.
 #pragma once
 
 #include <cstdint>
@@ -38,26 +39,33 @@
 namespace lossburst::fec {
 
 /// Bounded loss-record ring + hold-last Gilbert fitting (receiver side).
+/// The ring's transition counts are maintained incrementally, so push()
+/// and refresh() are O(1) regardless of the window.
 class AdaptiveFitter {
  public:
+  /// `window` is the record depth in symbols; a fit needs at least 2, so
+  /// smaller windows are an invariant violation (clamped to 2 when
+  /// invariants are compiled out).
   explicit AdaptiveFitter(std::size_t window = 2048);
 
+  /// Record one symbol. Once the ring is full the oldest symbol and its
+  /// transition to the next-oldest leave the counts.
   void push(bool lost);
 
-  /// Re-fit over the current record. Low-confidence fits (too short / too
+  /// Fit over the current record — identical to analysis::fit_gilbert on
+  /// the ring unrolled oldest-first. Low-confidence fits (too short / too
   /// uniform to constrain p and q) do not replace the held estimate.
   const analysis::GilbertFit& refresh();
 
   [[nodiscard]] const analysis::GilbertFit& current() const { return fit_; }
   /// True when the last refresh() held the previous estimate.
   [[nodiscard]] bool held() const { return held_; }
-  [[nodiscard]] std::size_t recorded() const { return count_; }
+  [[nodiscard]] std::size_t recorded() const { return counts_.n; }
 
  private:
   std::vector<std::uint8_t> ring_;
-  std::vector<bool> scratch_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  std::size_t head_ = 0;  ///< next write slot; the oldest sample once full
+  analysis::GilbertCounts counts_;  ///< over the recorded samples
   analysis::GilbertFit fit_;
   bool have_fit_ = false;
   bool held_ = false;

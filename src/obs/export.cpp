@@ -137,14 +137,17 @@ void write_trace_process(std::ostream& out, const FlightRecorder& rec, int pid,
     put_ts(out, ns);
     out << '}';
   };
+  // `arg_key`, when given, adds one numeric "args" entry.
   auto put_instant = [&](const char* name, std::uint16_t track, std::int64_t ns,
-                         const std::string& arg_name) {
+                         const std::string& arg_name, const char* arg_key = nullptr,
+                         std::uint64_t arg_value = 0) {
     sep();
     out << R"({"cat":"pkt","name":")" << name;
     if (!arg_name.empty()) out << ' ' << arg_name;
     out << R"(","ph":"i","s":"t","pid":)" << pid << R"(,"tid":)" << track
         << R"(,"ts":)";
     put_ts(out, ns);
+    if (arg_key != nullptr) out << R"(,"args":{")" << arg_key << R"(":)" << arg_value << '}';
     out << '}';
   };
 
@@ -193,6 +196,12 @@ void write_trace_process(std::ostream& out, const FlightRecorder& rec, int pid,
         break;
       case RecordKind::kFaultEvent:
         put_instant("fault.event", r.track, r.t_ns, "");
+        break;
+      case RecordKind::kFecRepair:
+        put_instant("fec.repair", r.track, r.t_ns, span_name(r.a), "window_len", r.b);
+        break;
+      case RecordKind::kFecDecode:
+        put_instant("fec.decode", r.track, r.t_ns, span_name(r.a), "rank", r.b);
         break;
       case RecordKind::kEventDispatch:
         put_instant(tag_name(static_cast<EventTag>(r.a)).data(), r.track, r.t_ns, "");

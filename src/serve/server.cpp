@@ -104,6 +104,10 @@ void append_num(std::string& out, double v) {
   out += buf;
 }
 
+// Longest pending (newline-free) input a client may buffer: the bound on
+// per-client memory for bytes from outside the process.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 16;
+
 bool write_all(int fd, const char* data, std::size_t len) {
   while (len > 0) {
     const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
@@ -211,6 +215,7 @@ void TelemetryServer::accept_loop() {
 
 void TelemetryServer::client_loop(Client* c) {
   std::string inbuf;
+  std::size_t scanned = 0;  // prefix of inbuf already searched for '\n'
   std::string out = "{\"type\":\"hello\",\"service\":\"lossburst\",\"version\":1}\n";
   SnapshotRing::Cursor cursor = pub_.make_cursor();
   bool subscribed = false;
@@ -233,7 +238,7 @@ void TelemetryServer::client_loop(Client* c) {
     }
     out.clear();
     std::size_t start = 0;
-    for (std::size_t nl = inbuf.find('\n', start); nl != std::string::npos;
+    for (std::size_t nl = inbuf.find('\n', scanned); nl != std::string::npos;
          nl = inbuf.find('\n', start)) {
       const std::string line = inbuf.substr(start, nl - start);
       start = nl + 1;
@@ -242,6 +247,16 @@ void TelemetryServer::client_loop(Client* c) {
       }
     }
     inbuf.erase(0, start);
+    scanned = inbuf.size();
+    if (inbuf.size() > kMaxLineBytes) {
+      // A line this long is not a command; stop buffering it. The client
+      // gets the replies already due plus one error, then the hang-up.
+      out += "{\"type\":\"error\",\"msg\":\"line too long; disconnecting\"}\n";
+      write_all(c->fd, out.data(), out.size());
+      ::shutdown(c->fd, SHUT_RDWR);
+      c->done.store(true, std::memory_order_release);
+      return;
+    }
 
     results.clear();
     control_.drain_results(c->id, results);

@@ -5,7 +5,9 @@
 // a slow or dead client's blocking write stalls only its own thread, the
 // ring overwrites what it failed to read (counted in its cursor), and the
 // simulation thread never learns the client exists. Commands arrive as one
-// JSON object per line; streamed telemetry leaves the same way.
+// JSON object per line; streamed telemetry leaves the same way. A client
+// whose pending line grows past 64 KiB without a newline gets one error line
+// and is disconnected.
 //
 // Protocol (all lines are single JSON objects):
 //   -> {"cmd":"subscribe"}                  start streaming snapshots

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -302,6 +303,85 @@ TEST(AdaptiveFitterTest, HoldsLastTrustworthyEstimateOverDegenerateRecords) {
   EXPECT_TRUE(fitter.held());
   EXPECT_EQ(held.p_bad_to_good, first.p_bad_to_good);
   EXPECT_EQ(held.loss_rate, first.loss_rate);
+}
+
+void expect_identical_fit(const analysis::GilbertFit& got,
+                          const analysis::GilbertFit& want) {
+  EXPECT_EQ(got.p_good_to_bad, want.p_good_to_bad);
+  EXPECT_EQ(got.p_bad_to_good, want.p_bad_to_good);
+  EXPECT_EQ(got.loss_rate, want.loss_rate);
+  EXPECT_EQ(got.state_changes, want.state_changes);
+  EXPECT_EQ(got.low_confidence, want.low_confidence);
+}
+
+enum class LossPattern { kBernoulli, kGilbert, kAllLost, kNoneLost };
+
+// Differential check of the incremental transition counts: after every push
+// the fitter's candidate fit must equal fit_gilbert over the same record
+// (kept here as a plain deque, unrolled oldest-first), field for field with
+// no tolerance. Each sequence wraps the ring several times.
+void check_fitter_against_recount(std::size_t window, LossPattern pattern,
+                                  std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "window=" << window << " pattern="
+                                    << static_cast<int>(pattern) << " seed=" << seed);
+  util::Rng rng(seed);
+  fec::AdaptiveFitter fitter(window);
+  std::deque<bool> record;
+  analysis::GilbertFit last;
+  bool bad = false;
+  const std::size_t pushes = 4 * window + 37;
+  for (std::size_t i = 0; i < pushes; ++i) {
+    bool lost = false;
+    switch (pattern) {
+      case LossPattern::kBernoulli: lost = rng.chance(0.2); break;
+      case LossPattern::kGilbert:
+        bad = bad ? !rng.chance(0.25) : rng.chance(0.05);
+        lost = bad;
+        break;
+      case LossPattern::kAllLost: lost = true; break;
+      case LossPattern::kNoneLost: lost = false; break;
+    }
+    fitter.push(lost);
+    record.push_back(lost);
+    if (record.size() > window) record.pop_front();
+    ASSERT_EQ(fitter.recorded(), record.size());
+
+    const analysis::GilbertFit want =
+        analysis::fit_gilbert(std::vector<bool>(record.begin(), record.end()));
+    const analysis::GilbertFit got = fitter.refresh();
+    if (fitter.held()) {
+      // Hold-last: only a low-confidence candidate may be held back, and
+      // the held estimate is the previous one, untouched.
+      ASSERT_TRUE(want.low_confidence) << "push " << i;
+      expect_identical_fit(got, last);
+    } else {
+      expect_identical_fit(got, want);
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "first mismatch at push " << i;
+    last = got;
+  }
+}
+
+TEST(AdaptiveFitterTest, IncrementalCountsMatchFullRecount) {
+  for (const std::size_t window : {2u, 3u, 64u, 2048u}) {
+    for (const LossPattern pattern : {LossPattern::kBernoulli, LossPattern::kGilbert,
+                                      LossPattern::kAllLost, LossPattern::kNoneLost}) {
+      check_fitter_against_recount(window, pattern, 0xf17 + window);
+      if (HasFailure()) return;  // report the first mismatching sequence only
+    }
+  }
+}
+
+TEST(AdaptiveFitterDeathTest, RejectsWindowsTooSmallToFit) {
+  if (!util::kInvariantsEnabled) {
+    // With the invariant compiled out the window clamps to 2 instead.
+    fec::AdaptiveFitter fitter(0);
+    for (int i = 0; i < 5; ++i) fitter.push(i % 2 == 0);
+    EXPECT_EQ(fitter.recorded(), 2u);
+    return;
+  }
+  EXPECT_DEATH(fec::AdaptiveFitter(0), "at least 2 symbols");
+  EXPECT_DEATH(fec::AdaptiveFitter(1), "at least 2 symbols");
 }
 
 TEST(RepairControllerTest, BurstScaledProvisioningAndClustering) {

@@ -245,6 +245,40 @@ TEST(ChromeTraceTest, UnmatchedOpensAreClosedAtEnd) {
   expect_spans_paired(parse_chrome_trace(out.str()));
 }
 
+TEST(ChromeTraceTest, EveryRecordKindReachesTheTrace) {
+  // One record of every kind, each at its own timestamp; every timestamp
+  // must show up in the export. A kind the exporter forgets emits nothing
+  // and fails here by number.
+  constexpr auto kKinds = static_cast<std::size_t>(obs::RecordKind::kKindCount);
+  obs::FlightRecorder rec;
+  rec.configure(2 * kKinds, obs::kAllKinds);
+  const std::uint16_t track = rec.register_track("t0");
+  const std::uint64_t pkt = obs::pack_packet(3, 7);
+  auto ts_ns = [](std::size_t k) { return static_cast<std::int64_t>(1'000 * (k + 1) + 7); };
+  // A dequeue only exports when it closes a span an earlier enqueue opened.
+  static_assert(obs::RecordKind::kPktEnqueue < obs::RecordKind::kPktDequeue);
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    const auto kind = static_cast<obs::RecordKind>(k);
+    // kEventDispatch carries an EventTag in `a`; 0 is a valid tag.
+    const std::uint64_t a = kind == obs::RecordKind::kEventDispatch ? 0 : pkt;
+    rec.record(kind, ts_ns(k), track, a, 4);
+  }
+
+  std::ostringstream out;
+  obs::write_chrome_trace(out, rec);
+  const std::string json = out.str();
+  std::map<double, int> seen;
+  for (const ChromeEvent& e : parse_chrome_trace(json)) ++seen[e.ts];
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    EXPECT_EQ(seen.count(static_cast<double>(ts_ns(k)) / 1000.0), 1u)
+        << "RecordKind " << k << " is missing from the Chrome trace";
+  }
+  EXPECT_NE(json.find(R"("fec.repair f3#7","ph":"i")"), std::string::npos);
+  EXPECT_NE(json.find(R"("args":{"window_len":4})"), std::string::npos);
+  EXPECT_NE(json.find(R"("args":{"rank":4})"), std::string::npos);
+  expect_spans_paired(parse_chrome_trace(json));
+}
+
 // ---------------------------------------------------------------------------
 // Profiler
 

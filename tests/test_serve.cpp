@@ -15,6 +15,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -59,6 +60,7 @@ class SocketClient {
 
   ~SocketClient() {
     stop_drain();
+    stop_flood();
     if (fd_ >= 0) ::close(fd_);
   }
 
@@ -120,6 +122,26 @@ class SocketClient {
     drain_thread_.join();
   }
 
+  /// Send `bytes` of input with no newline on a background thread — a
+  /// client whose line never ends. Stops early once the server hangs up.
+  void start_flood(std::size_t bytes) {
+    flood_thread_ = std::thread([this, bytes] {
+      const std::string chunk(4096, 'x');
+      for (std::size_t sent = 0; sent < bytes;) {
+        const ssize_t n = ::send(fd_, chunk.data(), std::min(chunk.size(), bytes - sent),
+                                 MSG_NOSIGNAL);
+        if (n <= 0) return;
+        sent += static_cast<std::size_t>(n);
+      }
+    });
+  }
+
+  void stop_flood() {
+    if (!flood_thread_.joinable()) return;
+    ::shutdown(fd_, SHUT_RDWR);  // unblocks a send the server stopped reading
+    flood_thread_.join();
+  }
+
   [[nodiscard]] std::uint64_t bytes_drained() const {
     return bytes_drained_.load(std::memory_order_relaxed);
   }
@@ -128,6 +150,7 @@ class SocketClient {
   int fd_ = -1;
   std::string buf_;
   std::thread drain_thread_;
+  std::thread flood_thread_;
   std::atomic<std::uint64_t> bytes_drained_{0};
 };
 
@@ -395,6 +418,33 @@ TEST(ServeControlTest, DeadClientLosesOnlyItsOwnSamples) {
   server.stop();
   healthy.stop_drain();
   EXPECT_GT(healthy.bytes_drained(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Bounded input: a client that never sends a newline cannot grow the
+// server's buffer past the line cap, and its drop leaves other clients served.
+
+TEST(ServeControlTest, OverlongLineIsRejectedAndServerKeepsServing) {
+  obs::live::LivePublisher pub;
+  serve::ControlQueue control;
+  serve::TelemetryServer server(pub, control);
+  server.start();
+
+  SocketClient flooder(server.port());
+  ASSERT_TRUE(flooder.connected());
+  ASSERT_NE(flooder.read_until("\"type\":\"hello\""), "");
+  flooder.start_flood(std::size_t{1} << 20);  // 1 MiB, no newline
+  const std::string err = flooder.read_until("\"type\":\"error\"");
+  EXPECT_NE(err.find("line too long"), std::string::npos) << err;
+  EXPECT_EQ(flooder.read_line(), "");  // then the server hangs up
+  flooder.stop_flood();
+
+  SocketClient next(server.port());
+  ASSERT_TRUE(next.connected());
+  ASSERT_NE(next.read_until("\"type\":\"hello\""), "");
+  next.send_line(R"({"cmd":"stats"})");
+  EXPECT_NE(next.read_until("\"type\":\"stats\""), "");
+  server.stop();
 }
 
 }  // namespace
