@@ -444,11 +444,11 @@ void BM_FaultLinkForward(benchmark::State& state) {
 BENCHMARK(BM_FaultLinkForward);
 
 void BM_LinkBurstDrain(benchmark::State& state) {
-  // The burst-batched service path end to end (DESIGN.md §11): a standing
-  // backlog drains through kLinkBatch events — one scheduler event per
-  // up-to-kMaxBatch packets instead of one kLinkTx each — with per-packet
-  // side effects settled lazily. Items are packets; the zero-allocation
-  // gate applies to the whole drain.
+  // A standing backlog drained end to end: 256 packets queue behind a busy
+  // line and leave one kLinkTx plus one kLinkArrive event each (about 2
+  // events per packet). Items are packets; the zero-allocation gate applies
+  // to the whole drain, so queue, flight ring and pool must all have reached
+  // their high-water marks during warm-up.
   sim::Simulator sim(15);
   net::Network network(sim);
   net::Link* link = network.add_link("l", 1'000'000'000ULL, Duration::micros(10),
@@ -472,7 +472,6 @@ void BM_LinkBurstDrain(benchmark::State& state) {
   std::uint64_t ops = 0;
   const std::uint64_t allocs_before = g_heap_allocs.load();
   const std::uint64_t events_before = sim.events_executed();
-  const std::uint64_t batches_before = link->batches();
   for (auto _ : state) {
     drain_burst();
     ++ops;
@@ -485,7 +484,6 @@ void BM_LinkBurstDrain(benchmark::State& state) {
   state.counters["events_per_pkt"] =
       static_cast<double>(sim.events_executed() - events_before) /
       static_cast<double>(pkts == 0 ? 1 : pkts);
-  state.counters["batches"] = static_cast<double>(link->batches() - batches_before);
   benchmark::DoNotOptimize(sink.count);
   state.SetItemsProcessed(static_cast<std::int64_t>(pkts));
 }
@@ -886,7 +884,9 @@ void BM_ShardedCampaign(benchmark::State& state) {
   //
   // Wall-clock speedup over Arg(1) needs >= K cores; on a single-core host
   // the K > 1 rows measure synchronization overhead, not parallelism — the
-  // alloc gate and events_per_slice are the portable signals.
+  // alloc gate and events_per_slice are the portable signals. Rates use wall
+  // time (UseRealTime): at K > 1 the main thread mostly waits at barriers,
+  // so its CPU time would report a speedup that never happened.
   const auto shards = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kRegions = 4;
   constexpr std::size_t kSites = 32;
@@ -984,7 +984,7 @@ void BM_ShardedCampaign(benchmark::State& state) {
   benchmark::DoNotOptimize(delivered);
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
-BENCHMARK(BM_ShardedCampaign)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShardedCampaign)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FecEncodeWindow(benchmark::State& state) {
   // Streaming-FEC encode (DESIGN.md §15): combine a window of `Arg` source

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "util/rng.hpp"
 
@@ -156,77 +155,6 @@ struct LinkFaultState {
     if (!corrupt_rng.chance(duplicate_prob)) return false;
     ++counters.duplicated;
     return true;
-  }
-
-  // --- burst-batched advance (DESIGN.md §11) -------------------------------
-  //
-  // The batched link service resolves a whole back-to-back burst in one
-  // event. advance_burst() hoists the per-packet window checks out of the
-  // loop and draws the verdicts for all n packets from the same RNG streams
-  // in the same order as n scalar loss_drop/corrupt_now/duplicate_now
-  // calls would — bit-identical decision sequences, provided no fault state
-  // changes inside the burst. The link guarantees that by capping every
-  // burst at next_change_ns().
-
-  /// Verdict bits written by advance_burst, one byte per packet.
-  static constexpr std::uint8_t kVerdictGilbertDrop = 1u << 0;
-  static constexpr std::uint8_t kVerdictCorrupt = 1u << 1;
-  static constexpr std::uint8_t kVerdictDuplicate = 1u << 2;
-
-  /// Sorted absolute times of every scheduled control-plane transition
-  /// (flap down/up, stall begin/end), precomputed by the FaultInjector at
-  /// attach time so the datapath can see its fault horizon without asking
-  /// the event queue. `edge_cursor` advances monotonically past spent edges.
-  std::vector<std::int64_t> change_edges;
-  std::size_t edge_cursor = 0;
-
-  /// Earliest instant > now_ns at which any decision predicate can change:
-  /// the next flap/stall edge or Gilbert/corruption window boundary.
-  /// Returns kForever when the state is settled for good.
-  [[nodiscard]] std::int64_t next_change_ns(std::int64_t now_ns) {
-    std::int64_t next = kForever;
-    const auto consider = [&](std::int64_t t) {
-      if (t > now_ns && t < next) next = t;
-    };
-    if (gilbert_enabled) {
-      consider(gilbert_start_ns);
-      consider(gilbert_stop_ns);
-    }
-    if (corrupt_enabled) {
-      consider(corrupt_start_ns);
-      consider(corrupt_stop_ns);
-    }
-    while (edge_cursor < change_edges.size() && change_edges[edge_cursor] <= now_ns) {
-      ++edge_cursor;
-    }
-    if (edge_cursor < change_edges.size()) consider(change_edges[edge_cursor]);
-    return next;
-  }
-
-  /// Advance the loss chain and corruption/duplication dice for a burst of
-  /// `n` packets whose decision times all fall in [first_ns, next change).
-  /// Writes one verdict byte per packet. Draw-for-draw identical to the
-  /// scalar path; counters are NOT updated here — the link charges them
-  /// when each packet's serialization slot actually ends, so mid-run
-  /// counter reads match the scalar timeline. Precondition: !down (a burst
-  /// is never started or left spanning a down interval).
-  void advance_burst(std::int64_t first_ns, std::uint32_t n, std::uint8_t* verdicts) {
-    const bool gilbert_on =
-        gilbert_enabled && first_ns >= gilbert_start_ns && first_ns < gilbert_stop_ns;
-    const bool window_on =
-        corrupt_enabled && first_ns >= corrupt_start_ns && first_ns < corrupt_stop_ns;
-    const bool corrupt_on = window_on && corrupt_prob > 0.0;
-    const bool duplicate_on = window_on && duplicate_prob > 0.0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::uint8_t v = 0;
-      if (gilbert_on && gilbert.next_lost()) {
-        v = kVerdictGilbertDrop;
-      } else {
-        if (corrupt_on && corrupt_rng.chance(corrupt_prob)) v |= kVerdictCorrupt;
-        if (duplicate_on && corrupt_rng.chance(duplicate_prob)) v |= kVerdictDuplicate;
-      }
-      verdicts[i] = v;
-    }
   }
 };
 

@@ -113,18 +113,12 @@ FaultInjector::FaultInjector(net::Network& net, const FaultPlan& plan) : net_(ne
   for (Entry& e : entries_) e.link->attach_fault(e.state.get());
 
   for (const FlapSpec& spec : plan.flaps) {
-    LinkFaultState* s = state_of(spec.link);
-    s->policy = spec.policy;  // validated above: every spec for a link agrees
-    schedule_flap(find_link(net_, spec.link), spec, s);
+    // Validated above: every flap spec for a link agrees on the policy.
+    state_of(spec.link)->policy = spec.policy;
+    schedule_flap(find_link(net_, spec.link), spec);
   }
   for (const StallSpec& spec : plan.stalls) {
-    schedule_stall(find_link(net_, spec.link), spec, state_of(spec.link));
-  }
-  // The batched link service caps every burst at the next control-plane
-  // transition (LinkFaultState::next_change_ns), so the edge list must be
-  // time-sorted — specs may interleave flaps and stalls arbitrarily.
-  for (Entry& e : entries_) {
-    std::sort(e.state->change_edges.begin(), e.state->change_edges.end());
+    schedule_stall(find_link(net_, spec.link), spec);
   }
 }
 
@@ -133,8 +127,7 @@ FaultInjector::~FaultInjector() {
   if (telemetry_ != nullptr) telemetry_->registry().release(this);
 }
 
-void FaultInjector::schedule_flap(net::Link* link, const FlapSpec& spec,
-                                  LinkFaultState* state) {
+void FaultInjector::schedule_flap(net::Link* link, const FlapSpec& spec) {
   if (link->is_boundary()) {
     // Down edges kill packets mid-flight; once a packet has been handed to
     // another shard its flight cannot be recalled race-free (DESIGN.md §12).
@@ -143,7 +136,6 @@ void FaultInjector::schedule_flap(net::Link* link, const FlapSpec& spec,
   }
   sim::Simulator& sim = net_.sim();
   const std::int64_t period_ns = to_ns(spec.down_s) + to_ns(spec.up_s);
-  state->change_edges.reserve(state->change_edges.size() + 2 * spec.cycles);
   for (std::size_t k = 0; k < spec.cycles; ++k) {
     const std::int64_t down_ns =
         to_ns(spec.at_s) + static_cast<std::int64_t>(k) * period_ns;
@@ -152,13 +144,10 @@ void FaultInjector::schedule_flap(net::Link* link, const FlapSpec& spec,
                  obs::EventTag::kFault);
     (void)sim.at(TimePoint(up_ns), [link] { link->fault_set_down(false); },
                  obs::EventTag::kFault);
-    state->change_edges.push_back(down_ns);
-    state->change_edges.push_back(up_ns);
   }
 }
 
-void FaultInjector::schedule_stall(net::Link* link, const StallSpec& spec,
-                                   LinkFaultState* state) {
+void FaultInjector::schedule_stall(net::Link* link, const StallSpec& spec) {
   if (link->is_boundary()) {
     // Stall windows park in-flight packets for later release; the parked set
     // cannot span a shard cut (DESIGN.md §12).
@@ -168,7 +157,6 @@ void FaultInjector::schedule_stall(net::Link* link, const StallSpec& spec,
   sim::Simulator& sim = net_.sim();
   const std::int64_t period_ns =
       spec.every_s > 0.0 ? to_ns(spec.every_s) : to_ns(spec.dur_s);
-  state->change_edges.reserve(state->change_edges.size() + 2 * spec.count);
   for (std::size_t k = 0; k < spec.count; ++k) {
     const std::int64_t begin_ns =
         to_ns(spec.at_s) + static_cast<std::int64_t>(k) * period_ns;
@@ -177,8 +165,6 @@ void FaultInjector::schedule_stall(net::Link* link, const StallSpec& spec,
                  obs::EventTag::kFault);
     (void)sim.at(TimePoint(end_ns), [link] { link->fault_set_stalled(false); },
                  obs::EventTag::kFault);
-    state->change_edges.push_back(begin_ns);
-    state->change_edges.push_back(end_ns);
   }
 }
 

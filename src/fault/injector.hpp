@@ -54,8 +54,8 @@ class FaultInjector {
   };
 
   Entry& entry_for(net::Link* link, const std::string& name);
-  void schedule_flap(net::Link* link, const FlapSpec& spec, LinkFaultState* state);
-  void schedule_stall(net::Link* link, const StallSpec& spec, LinkFaultState* state);
+  void schedule_flap(net::Link* link, const FlapSpec& spec);
+  void schedule_stall(net::Link* link, const StallSpec& spec);
 
   net::Network& net_;
   std::vector<Entry> entries_;  ///< plan first-mention order (deterministic)

@@ -1,6 +1,5 @@
 #include "net/link.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <utility>
@@ -50,8 +49,6 @@ void Link::register_observability(obs::Telemetry& telemetry) {
   obs::Registry& reg = telemetry.registry();
   reg.add_counter("link." + name_ + ".bytes_sent", &bytes_sent_, this);
   reg.add_counter("link." + name_ + ".packets_sent", &packets_sent_, this);
-  reg.add_counter("link." + name_ + ".batches", &batches_, this);
-  reg.add_counter("link." + name_ + ".batched_packets", &batched_packets_, this);
   const QueueCounters& qc = queue_->counters();
   reg.add_counter("queue." + name_ + ".enqueued", &qc.enqueued, this);
   reg.add_counter("queue." + name_ + ".dropped", &qc.dropped, this);
@@ -96,250 +93,16 @@ double Link::bdp_packets(std::uint32_t pkt_bytes) const {
 }
 
 void Link::enqueue(PacketHandle h) {
-  // Bring any in-progress burst current first: the discipline's drop/mark
-  // decision must see the queue occupancy the scalar path would have.
-  settle(sim_.now().ns());
   if (!queue_->enqueue(h)) return;  // dropped (queue released the handle)
   // A down or stalled link keeps accepting into its queue (the router buffer
   // survives an interface flap); serialization resumes on the up edge.
   if (busy_ || (fault_ != nullptr && fault_->gates_tx())) return;
   // Idle line: the packet just queued is alone — every other path out of
   // busy_ either drains the queue or closes the tx gates, and the gate
-  // reopening edge services immediately. So the single-packet forwarding
-  // steady state skips service()'s burst sizing (and its virtual
-  // queue-length probe) and goes straight to the serializer; bursts only
-  // ever form behind a busy line, where finish_tx/batch_finish still route
-  // through service().
+  // reopening edge serves the queue immediately.
   LOSSBURST_INVARIANT(queue_->len_packets() == 1,
                       "an idle ungated link found more than the just-queued packet");
   start_tx();
-}
-
-// Serve the queue head: a whole back-to-back burst under one kLinkBatch
-// event when possible, else one packet the classic way. Preconditions:
-// !busy_, queue non-empty, fault gates open.
-void Link::service() {
-  assert(!busy_ && !queue_->empty());
-  // The cheap disqualifiers live here, not in try_start_batch(): a single
-  // queued packet (the forwarding steady state) must reach start_tx() with
-  // only these two tests on top of the classic path. Processing jitter also
-  // forces scalar — its samples must stay interleaved exactly as the scalar
-  // path draws them.
-  if (!batch_enabled_ || processing_jitter_ || queue_->len_packets() < 2 ||
-      !try_start_batch()) {
-    start_tx();
-  }
-}
-
-// Size and launch a burst of the >= 2 queued packets service() saw. Falls
-// back to the scalar path (returns false) when the burst would still be
-// trivial: the first packet finishing at or past the next fault-state
-// change must be resolved scalar, after that change applies — the cap that
-// lets advance_burst() hoist every window predicate out of the per-packet
-// loop.
-bool Link::try_start_batch() {
-  const std::size_t qlen = queue_->len_packets();
-  const std::int64_t now_ns = sim_.now().ns();
-  const std::int64_t horizon_ns = fault_ != nullptr
-                                      ? fault_->next_change_ns(now_ns)
-                                      : fault::LinkFaultState::kForever;
-  const auto max_n = static_cast<std::uint32_t>(
-      std::min<std::size_t>(qlen, kMaxBatch));
-  std::int64_t t = now_ns;
-  std::uint32_t n = 0;
-  while (n < max_n) {
-    const std::int64_t fin = t + tx_time(pool_[queue_->peek(n)].size_bytes).ns();
-    // Stop at the fault horizon: a packet finishing at or past the next
-    // state change must be resolved scalar, after that change applies
-    // (its kLinkTx event orders after the pre-scheduled kFault edge).
-    // `fin < t` guards Duration saturation on pathological rates.
-    if (fin < t || fin >= horizon_ns) break;
-    batch_finish_ns_[n] = fin;
-    t = fin;
-    ++n;
-  }
-  if (n < 2) return false;
-  busy_ = true;
-  batch_active_ = true;
-  batch_n_ = n;
-  batch_resolved_ = 0;
-  batch_start_ns_ = now_ns;
-  if (fault_ != nullptr) {
-    fault_->advance_burst(batch_finish_ns_[0], n, batch_verdicts_.data());
-  } else {
-    std::fill_n(batch_verdicts_.data(), n, std::uint8_t{0});
-  }
-  ++batches_;
-  batched_packets_ += n;
-  // The batch event is scheduled at the exact code point where the scalar
-  // start_tx would schedule the first packet's kLinkTx event, so its
-  // insertion sequence *is* the one that event would have carried — the
-  // anchor every same-instant settlement decision compares against.
-  batch_anchor_seq_ = sim_.queue().next_seq();
-  batch_event_ = sim_.at(TimePoint(batch_finish_ns_[n - 1]), [this] { batch_finish(); },
-                         obs::EventTag::kLinkBatch);
-  // The first packet starts serializing right now — dequeue it, exactly as
-  // the scalar start_tx would at this instant.
-  tx_head_ = queue_->dequeue_at(TimePoint(now_ns));
-  const Packet& head = pool_[tx_head_];
-  bytes_sent_ += head.size_bytes;
-  ++packets_sent_;
-  batch_dequeued_ = 1;
-  // With no pending arrival there is no delivery chain to ride on; arm one
-  // for the burst's first packet that will actually arrive (Gilbert drops
-  // never enter the flight, so arming on one would fire into thin air).
-  // Boundary links have no local flight at all — propagation replays on the
-  // destination shard — so they never arm arrivals.
-  if (boundary_ == nullptr && !arrive_event_.pending()) {
-    if (!flight_.empty()) {
-      arrive_event_ = sim_.at(TimePoint(flight_.front().arrive_ns),
-                              [this] { on_arrival(); }, obs::EventTag::kLinkArrive);
-    } else if (const std::uint32_t i = next_batch_arrival_idx(); i < batch_n_) {
-      arrive_event_ = sim_.at(TimePoint(batch_finish_ns_[i] + delay_.ns()),
-                              [this] { on_arrival(); }, obs::EventTag::kLinkArrive);
-    }
-  }
-  return true;
-}
-
-// First unresolved burst packet that will produce an arrival — Gilbert
-// drops are consumed by settle() without touching the flight — or batch_n_
-// when the remaining tail is all drops.
-std::uint32_t Link::next_batch_arrival_idx() const {
-  std::uint32_t i = batch_resolved_;
-  while (i < batch_n_ &&
-         (batch_verdicts_[i] & fault::LinkFaultState::kVerdictGilbertDrop) != 0) {
-    ++i;
-  }
-  return i;
-}
-
-// Would the virtual scalar event finishing packet j have been dispatched
-// before an event with key (sched_ns, seq)? That virtual event fires at
-// finish[j] but was *scheduled* at the packet's serialization start, so at
-// equal times the scalar queue breaks the tie by insertion sequence —
-// compare scheduling instants first, and when those tie too, sequences.
-// The anchor stands in for the virtual event's sequence: for j == 0 it is
-// exactly the sequence the scalar kLinkTx would have carried (captured at
-// the same code point), and for j >= 1 every event that can tie on the
-// scheduling instant was itself armed from inside the burst window after
-// the formation point, so the anchor comparison reproduces the scalar
-// recursion's ordering unchanged.
-bool Link::unit_precedes(std::uint32_t j, std::int64_t sched_ns, std::uint64_t seq) const {
-  const std::int64_t start_ns = j == 0 ? batch_start_ns_ : batch_finish_ns_[j - 1];
-  if (start_ns != sched_ns) return start_ns < sched_ns;
-  return batch_anchor_seq_ < seq;
-}
-
-bool Link::unit_precedes_current(std::uint32_t j) const {
-  const sim::EventQueue& q = sim_.queue();
-  return unit_precedes(j, q.current_event_scheduled_at_ns(), q.current_event_seq());
-}
-
-// One virtual scalar event: resolve packet batch_resolved_ at its finish
-// time and start (dequeue) its successor at the same instant, mirroring
-// finish_tx's resolve-then-start. Each side effect is stamped with the
-// burst's own timestamps, not the caller's now.
-void Link::settle_one_unit() {
-  sim_.count_link_unit();  // one packet's service completes here
-  const std::uint32_t j = batch_resolved_;
-  const std::int64_t fin = batch_finish_ns_[j];
-  const std::uint8_t v = batch_verdicts_[j];
-  ++batch_resolved_;
-  resolve_batch_head(fin, v);
-  if (batch_resolved_ == batch_n_) {
-    batch_active_ = false;  // busy_ stays set until batch_finish() fires
-    return;
-  }
-  tx_head_ = queue_->dequeue_at(TimePoint(fin));
-  const Packet& p = pool_[tx_head_];
-  bytes_sent_ += p.size_bytes;
-  ++packets_sent_;
-  ++batch_dequeued_;
-}
-
-// Replay the burst's per-packet side effects up to `upto_ns`, in exact
-// scalar event order. A unit whose finish lands exactly on `upto_ns` — the
-// instant the currently-dispatching event fires at — replays only if its
-// virtual event would have been dispatched first; TCP's ack clock aligns
-// arrivals onto the bottleneck's serialization grid, so these ties are
-// systematic, not rare, and getting them wrong reorders drops.
-void Link::settle_slow(std::int64_t upto_ns) {
-  while (batch_active_) {
-    const std::int64_t fin = batch_finish_ns_[batch_resolved_];
-    if (fin > upto_ns) return;
-    if (fin == upto_ns && !unit_precedes_current(batch_resolved_)) return;
-    settle_one_unit();
-  }
-}
-
-// Apply a precomputed fault verdict to the serialized head at its finish
-// time: the batch-path equivalent of finish_tx's resolution block. Flap
-// verdicts cannot occur here (bursts never span a down edge) and counters
-// are charged now, when the serialization slot actually ends.
-void Link::resolve_batch_head(std::int64_t fin_ns, std::uint8_t v) {
-  const PacketHandle head = tx_head_;
-  tx_head_ = PacketHandle{};
-  if ((v & fault::LinkFaultState::kVerdictGilbertDrop) != 0) {
-    ++fault_->counters.gilbert_drops;
-    fault_drop_via(head, fault::FaultCause::kGilbert, fault_, fin_ns);
-    return;
-  }
-  const std::int64_t arrive_ns = fin_ns + delay_.ns();
-  bool duplicated = false;
-  if ((v & fault::LinkFaultState::kVerdictCorrupt) != 0) {
-    ++fault_->counters.corrupted;
-    pool_[head].corrupted_by = fault_;
-  }
-  if ((v & fault::LinkFaultState::kVerdictDuplicate) != 0) {
-    ++fault_->counters.duplicated;
-    duplicated = true;
-  }
-  if (boundary_ != nullptr) {
-    // Cross-shard exit: hand off at the settled finish time; the
-    // destination shard replays propagation (see finish_tx).
-    const Packet& p = pool_[head];
-    boundary_->handoff(p, pool_.options_of(p), fin_ns);
-    if (duplicated) boundary_->handoff(p, pool_.options_of(p), fin_ns);
-    pool_.release(head);
-    return;
-  }
-  flight_.push_back(InFlight{head, arrive_ns});
-  if (duplicated) {
-    const Packet& p = pool_[head];
-    flight_.push_back(InFlight{pool_.materialize(p, pool_.options_of(p)), arrive_ns});
-  }
-}
-
-// The burst's single event: settle whatever is still outstanding (usually
-// the final resolution) and keep the line busy if there is more to send.
-// Remaining units must still respect same-instant scalar order: if a
-// pending event at this very instant would have been dispatched before a
-// unit's virtual finish, yield to it by rescheduling — the fresh insertion
-// sequence orders the rescheduled event after every such predecessor, and
-// each yield lets at least one of them retire first, so this terminates.
-void Link::batch_finish() {
-  const std::int64_t now_ns = sim_.now().ns();
-  while (batch_active_) {
-    if (batch_finish_ns_[batch_resolved_] == now_ns) {
-      sim::EventQueue::NextEventMeta m{};
-      if (sim_.queue().peek_next(m) && m.at_ns == now_ns &&
-          !unit_precedes(batch_resolved_, m.scheduled_at_ns, m.seq)) {
-        batch_event_ = sim_.at(TimePoint(now_ns), [this] { batch_finish(); },
-                               obs::EventTag::kLinkBatch);
-        return;
-      }
-    }
-    settle_one_unit();
-  }
-  if (fault_ != nullptr && fault_->gates_tx()) {
-    busy_ = false;  // resumed by the up / unstall edge
-    return;
-  }
-  // The line goes idle before the queue check: service() (and enqueue's
-  // idle fast path) may assume !busy_ on entry.
-  busy_ = false;
-  if (!queue_->empty()) service();
 }
 
 void Link::start_tx() {
@@ -415,127 +178,23 @@ void Link::finish_tx() {
       }
     }
   }
-  if (fault_ != nullptr && fault_->gates_tx()) {
-    busy_ = false;  // resumed by the up / unstall edge
-    return;
-  }
-  busy_ = false;  // idle before the queue check: service() asserts !busy_
-  if (!queue_->empty()) service();
+  busy_ = false;
+  // A gated link resumes on the up / unstall edge.
+  if (!queue_->empty() && (fault_ == nullptr || !fault_->gates_tx())) start_tx();
 }
 
 void Link::on_arrival() {
-  // A burst resolution due at or before now must land its flight entry
-  // before we pop: this very arrival may be that entry.
-  settle(sim_.now().ns());
   const InFlight f = flight_.pop_front();
   assert(f.arrive_ns == sim_.now().ns());
   if (!flight_.empty()) {
     arrive_event_ = sim_.at(TimePoint(flight_.front().arrive_ns), [this] { on_arrival(); },
                             obs::EventTag::kLinkArrive);
-  } else if (batch_active_) {
-    // Flight drained but the burst may still owe arrivals: arm against the
-    // next unresolved packet that will deliver (its resolution settles in
-    // time, pushing the matching flight entry just before the pop above).
-    if (const std::uint32_t i = next_batch_arrival_idx(); i < batch_n_) {
-      arrive_event_ =
-          sim_.at(TimePoint(batch_finish_ns_[i] + delay_.ns()),
-                  [this] { on_arrival(); }, obs::EventTag::kLinkArrive);
-    }
   }
   deliver(f.h);
 }
 
-// A control-plane edge landed while a burst was in progress. Injector-
-// scheduled edges cannot do this — change_edges caps every burst before
-// the next one — so this is the manually-driven path: a test calling
-// fault_set_down()/fault_set_stalled() directly, with no pre-declared
-// schedule. Collapse back to scalar: settled side effects stand, packets
-// not yet dequeued simply stay queued, and the one packet mid-serialization
-// finishes at its original time with its already-drawn verdict. The
-// abandoned tail's verdicts are discarded (those streams re-roll when the
-// packets are re-serviced), so this path trades bit-identity with a
-// never-batched run for exact semantics from the edge onward.
-void Link::abort_batch() {
-  assert(batch_dequeued_ == batch_resolved_ + 1);
-  batch_event_.cancel();
-  const std::uint8_t v = batch_verdicts_[batch_resolved_];
-  const std::int64_t fin_ns = batch_finish_ns_[batch_resolved_];
-  batch_active_ = false;
-  // A pending arrival may target an abandoned tail packet; re-anchor it to
-  // the flight (finish_aborted re-arms for its own packet if needed).
-  arrive_event_.cancel();
-  if (!flight_.empty()) {
-    arrive_event_ = sim_.at(TimePoint(flight_.front().arrive_ns), [this] { on_arrival(); },
-                            obs::EventTag::kLinkArrive);
-  }
-  (void)sim_.at(TimePoint(fin_ns), [this, v] { finish_aborted(v); },
-                obs::EventTag::kLinkTx);
-}
-
-// Scalar-path completion for the packet left on the wire by abort_batch():
-// finish_tx, except the fault verdict was drawn at batch start — re-rolling
-// here would advance the RNG streams twice for one packet.
-void Link::finish_aborted(std::uint8_t v) {
-  sim_.count_link_unit();  // one packet's service completes here
-  const PacketHandle head = tx_head_;
-  tx_head_ = PacketHandle{};
-  const std::int64_t arrive_ns = (sim_.now() + delay_).ns();
-  bool lost = false;
-  bool duplicated = false;
-  if (fault_ != nullptr && fault_->down && fault_->policy == fault::DownPolicy::kDrop) {
-    ++fault_->counters.flap_drops;
-    fault_drop(head, fault::FaultCause::kFlap);
-    lost = true;
-  } else if (fault_ != nullptr &&
-             (v & fault::LinkFaultState::kVerdictGilbertDrop) != 0) {
-    ++fault_->counters.gilbert_drops;
-    fault_drop(head, fault::FaultCause::kGilbert);
-    lost = true;
-  } else if (fault_ != nullptr) {
-    if ((v & fault::LinkFaultState::kVerdictCorrupt) != 0) {
-      ++fault_->counters.corrupted;
-      pool_[head].corrupted_by = fault_;
-    }
-    if ((v & fault::LinkFaultState::kVerdictDuplicate) != 0) {
-      ++fault_->counters.duplicated;
-      duplicated = true;
-    }
-  }
-  if (!lost) {
-    if (boundary_ != nullptr) {
-      const Packet& p = pool_[head];
-      const std::int64_t finish_ns = sim_.now().ns();
-      boundary_->handoff(p, pool_.options_of(p), finish_ns);
-      if (duplicated) boundary_->handoff(p, pool_.options_of(p), finish_ns);
-      pool_.release(head);
-    } else {
-      flight_.push_back(InFlight{head, arrive_ns});
-      if (duplicated) {
-        const Packet& p = pool_[head];
-        flight_.push_back(InFlight{pool_.materialize(p, pool_.options_of(p)), arrive_ns});
-      }
-      if (fault_ != nullptr && fault_->down) {
-        fault_->counters.parked += duplicated ? 2u : 1u;
-      } else if (!arrive_event_.pending()) {
-        arrive_event_ = sim_.at(TimePoint(arrive_ns), [this] { on_arrival(); },
-                                obs::EventTag::kLinkArrive);
-      }
-    }
-  }
-  if (fault_ != nullptr && fault_->gates_tx()) {
-    busy_ = false;  // resumed by the up / unstall edge
-    return;
-  }
-  busy_ = false;  // idle before the queue check: service() asserts !busy_
-  if (!queue_->empty()) service();
-}
-
 void Link::fault_set_down(bool down) {
   if (fault_ == nullptr || fault_->down == down) return;
-  // Bring any burst current before the state flips; an edge inside a burst
-  // (possible only with manually-driven transitions) collapses it to scalar.
-  settle(sim_.now().ns());
-  if (batch_active_) abort_batch();
   fault_->down = down;
   if (down) {
     ++fault_->counters.down_transitions;
@@ -568,13 +227,11 @@ void Link::fault_set_down(bool down) {
     arrive_event_ = sim_.at(TimePoint(flight_.front().arrive_ns), [this] { on_arrival(); },
                             obs::EventTag::kLinkArrive);
   }
-  if (!busy_ && !fault_->gates_tx() && !queue_->empty()) service();
+  if (!busy_ && !fault_->gates_tx() && !queue_->empty()) start_tx();
 }
 
 void Link::fault_set_stalled(bool stalled) {
   if (fault_ == nullptr || fault_->stalled == stalled) return;
-  settle(sim_.now().ns());
-  if (batch_active_) abort_batch();
   fault_->stalled = stalled;
   if (stalled) {
     ++fault_->counters.stall_windows;
@@ -582,7 +239,7 @@ void Link::fault_set_stalled(bool stalled) {
     return;  // in-flight packets keep propagating; only dequeue freezes
   }
   fault_record_event(false, fault::FaultCause::kStall);
-  if (!busy_ && !fault_->gates_tx() && !queue_->empty()) service();
+  if (!busy_ && !fault_->gates_tx() && !queue_->empty()) start_tx();
 }
 
 // Drop a handle on behalf of the fault layer: emit the flight-recorder
@@ -590,31 +247,28 @@ void Link::fault_set_stalled(bool stalled) {
 // queue-drop stream the analysis consumes), and release the pool slot.
 // Cause-specific counters are incremented at the call sites.
 void Link::fault_drop(PacketHandle h, fault::FaultCause cause) {
-  fault_drop_via(h, cause, fault_, sim_.now().ns());
+  fault_drop_via(h, cause, fault_);
 }
 
-// As fault_drop, but charged to an explicit fault state and timestamp:
-// `origin` is the state of the link that caused the damage — usually this
-// link's own, but a checksum-drop executes at the final hop while the
-// corruption was injected (and counted) possibly several hops upstream, and
-// the tracer/obs track of that upstream link are the ones the analysis
-// stream must see. `at_ns` is the drop's simulated time — the batched link
-// service settles Gilbert drops retroactively, at the exact end of the
-// packet's serialization slot rather than at the settling event's now.
+// As fault_drop, but charged to an explicit fault state: `origin` is the
+// state of the link that caused the damage — usually this link's own, but a
+// checksum-drop executes at the final hop while the corruption was injected
+// (and counted) possibly several hops upstream, and the tracer/obs track of
+// that upstream link are the ones the analysis stream must see.
 void Link::fault_drop_via(PacketHandle h, fault::FaultCause cause,
-                          fault::LinkFaultState* origin, std::int64_t at_ns) {
+                          fault::LinkFaultState* origin) {
   const Packet& p = pool_[h];
   if constexpr (obs::kTraceCompiledIn) {
     if (obs::FlightRecorder* rec =
             obs::trace_recorder(sim_.telemetry(), obs::RecordKind::kFaultDrop)) {
       const std::uint16_t track =
           (origin != nullptr && origin->obs_track != 0) ? origin->obs_track : obs_track_;
-      rec->record(obs::RecordKind::kFaultDrop, at_ns, track,
+      rec->record(obs::RecordKind::kFaultDrop, sim_.now().ns(), track,
                   obs::pack_packet(p.flow, p.seq), static_cast<std::uint32_t>(cause));
     }
   }
   if (origin != nullptr && origin->tracer != nullptr) {
-    origin->tracer->on_drop(TimePoint(at_ns), p, queue_->len_packets());
+    origin->tracer->on_drop(sim_.now(), p, queue_->len_packets());
   }
   pool_.release(h);
 }
@@ -647,7 +301,7 @@ void Link::deliver(PacketHandle h) {
     // sees it. The drop is charged to the fault state of the link that
     // injected (and counted) the damage, which rode along in the packet —
     // this delivering hop usually has no fault state of its own.
-    fault_drop_via(h, fault::FaultCause::kCorrupt, p.corrupted_by, sim_.now().ns());
+    fault_drop_via(h, fault::FaultCause::kCorrupt, p.corrupted_by);
     return;
   }
   if constexpr (obs::kTraceCompiledIn) {

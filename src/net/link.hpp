@@ -7,18 +7,10 @@
 // The link therefore keeps at most two pending events — one "transmit
 // done" and one "head of flight arrives" — each capturing only `this`,
 // instead of scheduling one fat packet-carrying event per packet in flight.
-//
-// When the queue holds a back-to-back burst, the serialization stage goes
-// further and services up to kMaxBatch packets under a single kLinkBatch
-// event (DESIGN.md §11): per-packet finish times are accumulated
-// arithmetically, the fault verdicts for the whole burst are drawn up front
-// (LinkFaultState::advance_burst), and the per-packet side effects —
-// queue dequeue, counters, flight entries, drop records — are "settled"
-// lazily at their exact scalar-path timestamps whenever anything can
-// observe them (an enqueue, an arrival, or the batch-end event).
+// Every dequeue, fault verdict and drop happens inside one of those events,
+// stamped with its `now`.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -81,20 +73,6 @@ class Link {
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
   [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
 
-  /// Burst-batched service telemetry: batches dispatched and packets they
-  /// carried (packets_sent - batched_packets went through the scalar path).
-  [[nodiscard]] std::uint64_t batches() const { return batches_; }
-  [[nodiscard]] std::uint64_t batched_packets() const { return batched_packets_; }
-
-  /// Longest back-to-back burst one kLinkBatch event may carry.
-  static constexpr std::uint32_t kMaxBatch = 64;
-
-  /// Force the scalar serialization path (one kLinkTx event per packet).
-  /// Results are byte-identical either way (DESIGN.md §11); profiling tests
-  /// use this to compare scalar and batched dispatch on the same workload.
-  void set_batch_enabled(bool on) { batch_enabled_ = on; }
-  [[nodiscard]] bool batch_enabled() const { return batch_enabled_; }
-
   /// Debug conservation support (DESIGN.md §9): append every handle the
   /// link currently owns — queued, serializing, and in flight — in
   /// deterministic order. Used by the Network teardown leak check.
@@ -133,32 +111,13 @@ class Link {
   void fault_set_stalled(bool stalled);
 
  private:
-  void service();
-  bool try_start_batch();
-  void batch_finish();
-  /// Replay any in-progress burst's side effects up to `upto_ns`. Inline
-  /// no-op when no burst is active — the scalar datapath crosses this guard
-  /// on every enqueue and arrival, so it must not cost a call.
-  void settle(std::int64_t upto_ns) {
-    if (batch_active_) settle_slow(upto_ns);
-  }
-  void settle_slow(std::int64_t upto_ns);
-  void settle_one_unit();
-  [[nodiscard]] bool unit_precedes(std::uint32_t j, std::int64_t sched_ns,
-                                   std::uint64_t seq) const;
-  [[nodiscard]] bool unit_precedes_current(std::uint32_t j) const;
-  void resolve_batch_head(std::int64_t fin_ns, std::uint8_t verdict);
-  void abort_batch();
-  void finish_aborted(std::uint8_t verdict);
-  [[nodiscard]] std::uint32_t next_batch_arrival_idx() const;
   void start_tx();
   void finish_tx();
   void on_arrival();
   void deliver(PacketHandle h);
   void register_observability(obs::Telemetry& telemetry);
   void fault_drop(PacketHandle h, fault::FaultCause cause);
-  void fault_drop_via(PacketHandle h, fault::FaultCause cause, fault::LinkFaultState* origin,
-                      std::int64_t at_ns);
+  void fault_drop_via(PacketHandle h, fault::FaultCause cause, fault::LinkFaultState* origin);
   void fault_record_event(bool enter, fault::FaultCause cause);
 
   struct InFlight {
@@ -187,34 +146,12 @@ class Link {
   PacketHandle tx_head_{};  ///< packet currently serializing
   util::RingBuffer<InFlight> flight_;
   sim::EventHandle arrive_event_;  ///< pending head-of-flight arrival
-  sim::EventHandle batch_event_;   ///< pending kLinkBatch (cancellable on abort)
   fault::LinkFaultState* fault_ = nullptr;  ///< owned by the FaultInjector
   BoundaryHop* boundary_ = nullptr;         ///< owned by the ShardedNetwork
   bool busy_ = false;
-  bool batch_enabled_ = true;  ///< false forces the scalar path (see setter)
-
-  // Active burst (DESIGN.md §11). Packet k of the batch is dequeued at its
-  // serialization start (batch_start for k = 0, else batch_finish_ns_[k-1])
-  // and resolved — fault verdict applied, flight entry pushed — at
-  // batch_finish_ns_[k]. settle() replays both sequences up to a given
-  // time, so external observers always see the exact scalar-path state.
-  bool batch_active_ = false;
-  std::uint32_t batch_n_ = 0;         ///< packets in the burst
-  std::uint32_t batch_dequeued_ = 0;  ///< settled dequeues
-  std::uint32_t batch_resolved_ = 0;  ///< settled resolutions
-  std::int64_t batch_start_ns_ = 0;
-  /// Insertion sequence the scalar path's first kLinkTx event would have
-  /// carried — captured right before batch_event_ is scheduled, at the same
-  /// code point. Same-instant settlement decisions compare against it to
-  /// replay scalar dispatch order exactly (see unit_precedes).
-  std::uint64_t batch_anchor_seq_ = 0;
-  std::array<std::int64_t, kMaxBatch> batch_finish_ns_{};
-  std::array<std::uint8_t, kMaxBatch> batch_verdicts_{};
 
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
-  std::uint64_t batches_ = 0;          ///< kLinkBatch events dispatched
-  std::uint64_t batched_packets_ = 0;  ///< packets serviced by those events
   obs::Telemetry* telemetry_ = nullptr;  ///< where our metrics were registered
   std::uint16_t obs_track_ = 0;          ///< flight-recorder track for deliveries
 };

@@ -49,25 +49,6 @@ class Queue {
   /// caller. Precondition: !empty().
   virtual PacketHandle dequeue() = 0;
 
-  /// Head-ward peek without removal: index 0 is the packet dequeue() would
-  /// return next, index 1 the one after, and so on. The batched link
-  /// service uses it to size a burst before committing to any dequeue.
-  /// Precondition: i < len_packets().
-  [[nodiscard]] virtual PacketHandle peek(std::size_t i) const = 0;
-
-  /// Dequeue stamped at an explicit simulated time `t` (<= the simulator's
-  /// now): the batched link service dequeues retroactively, at each
-  /// packet's serialization start, so drop/idle bookkeeping, counters, and
-  /// flight-recorder records carry exactly the timestamps the one-event-
-  /// per-packet path would have produced (DESIGN.md §11).
-  PacketHandle dequeue_at(TimePoint t) {
-    now_override_ = t;
-    has_now_override_ = true;
-    const PacketHandle h = dequeue();
-    has_now_override_ = false;
-    return h;
-  }
-
   [[nodiscard]] virtual bool empty() const = 0;
   [[nodiscard]] virtual std::size_t len_packets() const = 0;
   [[nodiscard]] virtual std::size_t len_bytes() const = 0;
@@ -103,10 +84,7 @@ class Queue {
                           std::vector<PacketHandle>& out) {
     for (std::size_t i = 0; i < ring.size(); ++i) out.push_back(ring[i]);
   }
-  [[nodiscard]] TimePoint now() const {
-    if (has_now_override_) return now_override_;
-    return sim_ ? sim_->now() : TimePoint::zero();
-  }
+  [[nodiscard]] TimePoint now() const { return sim_ ? sim_->now() : TimePoint::zero(); }
   [[nodiscard]] PacketPool& pool() { return *pool_; }
   [[nodiscard]] Packet& pkt(PacketHandle h) { return (*pool_)[h]; }
 
@@ -155,10 +133,6 @@ class Queue {
   QueueTracer* tracer_ = nullptr;
   QueueCounters counters_;
   std::uint16_t obs_track_ = 0;
-
- private:
-  TimePoint now_override_ = TimePoint::zero();  ///< active during dequeue_at()
-  bool has_now_override_ = false;
 };
 
 /// FIFO tail-drop queue with a fixed capacity in packets — the discipline
@@ -169,7 +143,6 @@ class DropTailQueue final : public Queue {
 
   bool enqueue(PacketHandle h) override;
   PacketHandle dequeue() override;
-  [[nodiscard]] PacketHandle peek(std::size_t i) const override { return q_[i]; }
   [[nodiscard]] bool empty() const override { return q_.empty(); }
   [[nodiscard]] std::size_t len_packets() const override { return q_.size(); }
   [[nodiscard]] std::size_t len_bytes() const override { return bytes_; }
@@ -208,7 +181,6 @@ class RedQueue final : public Queue {
 
   bool enqueue(PacketHandle h) override;
   PacketHandle dequeue() override;
-  [[nodiscard]] PacketHandle peek(std::size_t i) const override { return q_[i]; }
   [[nodiscard]] bool empty() const override { return q_.empty(); }
   [[nodiscard]] std::size_t len_packets() const override { return q_.size(); }
   [[nodiscard]] std::size_t len_bytes() const override { return bytes_; }
@@ -244,7 +216,6 @@ class PersistentEcnQueue final : public Queue {
 
   bool enqueue(PacketHandle h) override;
   PacketHandle dequeue() override;
-  [[nodiscard]] PacketHandle peek(std::size_t i) const override { return q_[i]; }
   [[nodiscard]] bool empty() const override { return q_.empty(); }
   [[nodiscard]] std::size_t len_packets() const override { return q_.size(); }
   [[nodiscard]] std::size_t len_bytes() const override { return bytes_; }

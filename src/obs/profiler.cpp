@@ -24,7 +24,7 @@ void LoopProfiler::report(std::ostream& out) const {
   out << std::left << std::setw(12) << "tag" << std::right << std::setw(12) << "count"
       << std::setw(12) << "total_ms" << std::setw(9) << "share" << std::setw(12)
       << "mean_ns" << std::setw(10) << "max_ns" << std::setw(12) << "units"
-      << std::setw(12) << "ns_per_unit" << std::setw(8) << "burst" << '\n';
+      << std::setw(12) << "ns_per_unit" << '\n';
   for (std::size_t i = 0; i < kEventTagCount; ++i) {
     const PerTag& p = tags_[i];
     if (p.count == 0) continue;
@@ -38,8 +38,7 @@ void LoopProfiler::report(std::ostream& out) const {
         << p.max_ns;
     if (p.units > 0) {
       out << std::setw(12) << p.units << std::setw(12) << std::setprecision(1)
-          << static_cast<double>(p.total_ns) / static_cast<double>(p.units)
-          << std::setw(8) << p.max_units;
+          << static_cast<double>(p.total_ns) / static_cast<double>(p.units);
     }
     out << '\n';
   }

@@ -21,16 +21,12 @@ class LoopProfiler {
   LoopProfiler();
 
   /// One dispatched event of type `tag` that took `wall_ns` nanoseconds and
-  /// completed `units` work units (packets settled, for link tags). Batched
-  /// dispatch (kLinkBatch) completes a whole burst per event: without the
-  /// unit count its per-event mean is incomparable to the scalar path's, and
-  /// the burst's per-packet work would look like one expensive sample.
+  /// completed `units` work units (packets serviced, for link tags).
   void record(EventTag tag, std::int64_t wall_ns, std::uint64_t units = 0) {
     PerTag& p = tags_[static_cast<std::size_t>(tag)];
     ++p.count;
     p.total_ns += wall_ns;
     if (wall_ns > p.max_ns) p.max_ns = wall_ns;
-    if (units > p.max_units) p.max_units = units;
     p.units += units;
     p.hist.add(static_cast<double>(wall_ns));
   }
@@ -38,14 +34,9 @@ class LoopProfiler {
   [[nodiscard]] std::uint64_t count(EventTag tag) const {
     return tags_[static_cast<std::size_t>(tag)].count;
   }
-  /// Work units completed under `tag` (packets, for link tags); equal across
-  /// scalar and batched dispatch of the same run.
+  /// Work units completed under `tag` (packets, for link tags).
   [[nodiscard]] std::uint64_t units(EventTag tag) const {
     return tags_[static_cast<std::size_t>(tag)].units;
-  }
-  /// Largest unit count charged to a single dispatch (the biggest burst).
-  [[nodiscard]] std::uint64_t max_units(EventTag tag) const {
-    return tags_[static_cast<std::size_t>(tag)].max_units;
   }
   [[nodiscard]] std::int64_t total_ns(EventTag tag) const {
     return tags_[static_cast<std::size_t>(tag)].total_ns;
@@ -61,8 +52,7 @@ class LoopProfiler {
  private:
   struct PerTag {
     std::uint64_t count = 0;
-    std::uint64_t units = 0;      ///< work units (packets) completed
-    std::uint64_t max_units = 0;  ///< largest single-dispatch unit count
+    std::uint64_t units = 0;  ///< work units (packets) completed
     std::int64_t total_ns = 0;
     std::int64_t max_ns = 0;
     util::Histogram hist;  ///< dispatch cost in ns, log-ish fixed range

@@ -14,7 +14,6 @@ namespace lossburst::obs {
 enum class EventTag : std::uint8_t {
   kGeneric = 0,   ///< untagged schedule() calls
   kLinkTx,        ///< Link "transmit done" (serialization complete)
-  kLinkBatch,     ///< Link burst-batched service complete (DESIGN.md §11)
   kLinkArrive,    ///< Link in-flight FIFO head arrival
   kTcpRto,        ///< TCP retransmission timer
   kTcpPacing,     ///< TCP Pacing emission tick
@@ -37,7 +36,6 @@ constexpr std::string_view tag_name(EventTag tag) {
   switch (tag) {
     case EventTag::kGeneric: return "generic";
     case EventTag::kLinkTx: return "link.tx";
-    case EventTag::kLinkBatch: return "link.batch";
     case EventTag::kLinkArrive: return "link.arrive";
     case EventTag::kTcpRto: return "tcp.rto";
     case EventTag::kTcpPacing: return "tcp.pacing";

@@ -192,14 +192,34 @@ void TelemetryServer::stop() {
   clients_.clear();
 }
 
+std::size_t TelemetryServer::reap_finished_clients() {
+  const std::lock_guard<std::mutex> lock(clients_mu_);
+  std::erase_if(clients_, [](const std::unique_ptr<Client>& c) {
+    if (!c->done.load(std::memory_order_acquire)) return false;
+    if (c->thread.joinable()) c->thread.join();  // done is its last store
+    ::close(c->fd);
+    return true;
+  });
+  return clients_.size();
+}
+
 void TelemetryServer::accept_loop() {
   while (running_.load(std::memory_order_acquire)) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int pr = ::poll(&pfd, 1, 200);
     if (!running_.load(std::memory_order_acquire)) break;
+    const std::size_t connected = reap_finished_clients();
     if (pr <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    if (connected >= kMaxClients) {
+      static constexpr char kFull[] =
+          "{\"type\":\"error\",\"msg\":\"too many clients; disconnecting\"}\n";
+      write_all(fd, kFull, sizeof kFull - 1);
+      ::shutdown(fd, SHUT_RDWR);
+      ::close(fd);
+      continue;
+    }
     auto client = std::make_unique<Client>();
     client->fd = fd;
     client->id = next_client_id_.fetch_add(1, std::memory_order_relaxed);
@@ -217,7 +237,7 @@ void TelemetryServer::client_loop(Client* c) {
   std::string inbuf;
   std::size_t scanned = 0;  // prefix of inbuf already searched for '\n'
   std::string out = "{\"type\":\"hello\",\"service\":\"lossburst\",\"version\":1}\n";
-  SnapshotRing::Cursor cursor = pub_.make_cursor();
+  SnapshotRing::Cursor cursor;  // re-made at subscribe once the ring exists
   bool subscribed = false;
   std::uint32_t min_level = 0;
   bool want_topflows = true;
@@ -343,7 +363,10 @@ void TelemetryServer::handle_line(Client& c, const std::string& line,
   };
 
   if (cmd == "subscribe") {
-    if (!subscribed) cursor = pub_.make_cursor();
+    // Before freeze() the ring is not configured and nothing has been
+    // published, so the default cursor (publication 0) is already right and
+    // reading the ring's size would race its configuration.
+    if (!subscribed && pub_.frozen()) cursor = pub_.make_cursor();
     subscribed = true;
     ack();
   } else if (cmd == "resolution") {

@@ -7,7 +7,9 @@
 // simulation thread never learns the client exists. Commands arrive as one
 // JSON object per line; streamed telemetry leaves the same way. A client
 // whose pending line grows past 64 KiB without a newline gets one error line
-// and is disconnected.
+// and is disconnected. At most kMaxClients are connected at once: the accept
+// thread joins the threads of clients that have finished and turns away a
+// connection beyond the cap with one error line and a close.
 //
 // Protocol (all lines are single JSON objects):
 //   -> {"cmd":"subscribe"}                  start streaming snapshots
@@ -40,6 +42,10 @@ namespace lossburst::serve {
 
 class TelemetryServer {
  public:
+  /// Concurrent client connections (each with its own thread) the server
+  /// accepts; a fixed bound on threads spawned for peers outside the process.
+  static constexpr std::size_t kMaxClients = 32;
+
   struct Options {
     std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
   };
@@ -80,6 +86,9 @@ class TelemetryServer {
   };
 
   void accept_loop();
+  /// Join, close and forget every client whose loop has exited; returns the
+  /// number still connected. Called from the accept thread only.
+  std::size_t reap_finished_clients();
   void client_loop(Client* c);
   void handle_line(Client& c, const std::string& line, std::string& out,
                    obs::live::SnapshotRing::Cursor& cursor, bool& subscribed,

@@ -68,14 +68,6 @@ TimePoint EventQueue::next_time() const {
   return TimePoint(ladder_.front().at_ns);
 }
 
-bool EventQueue::peek_next(NextEventMeta& m) const {
-  if (live_ == 0) return false;
-  ladder_.ensure_front();
-  const detail::TimerEntry& e = ladder_.front();
-  m = NextEventMeta{e.at_ns, slot_scheduled_at(e.slot), e.seq};
-  return true;
-}
-
 TimePoint EventQueue::pop_and_run() {
   assert(live_ > 0);
   ladder_.ensure_front();
@@ -89,8 +81,6 @@ TimePoint EventQueue::pop_and_run() {
     marks_.push_back(Watermark{e.at_ns, next_seq_});
   }
   now_ns_ = e.at_ns;
-  cur_sched_ns_ = slot_scheduled_at(e.slot);
-  cur_seq_ = e.seq;
 #if LOSSBURST_INVARIANTS_ENABLED
   // Dispatch must be time-monotone: a head earlier than the previous pop
   // means an event was scheduled into the simulated past (or the ladder was

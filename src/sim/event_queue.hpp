@@ -88,7 +88,7 @@ class SlotPool {
     const CallableOps* ops = nullptr;
     // Profiler tag; rides in the slot's existing alignment padding, so it
     // costs no space (48+8+1 rounds to 64 with or without it). The slot's
-    // generation counter lives in the dense meta_ sidecar below, NOT here:
+    // generation counter lives in the dense gen_ sidecar below, NOT here:
     // staleness checks and cancels are the engine's hottest loads, and a
     // per-slot counter would drag them through the multi-MB slab instead of
     // a few hundred KB of hot memory.
@@ -113,16 +113,6 @@ class SlotPool {
     return chunks_[idx / kChunkSlots][idx % kChunkSlots];
   }
 
-  /// Dense per-slot metadata: the generation word (bits 1+ count fire/cancel
-  /// cycles, bit 0 flags a trivially-destructible occupant) and the simulated
-  /// instant the occupant was scheduled at. One record so the dispatch path's
-  /// staleness check and scheduled-at read — and arm()'s writes of both —
-  /// land on a single cache line per slot.
-  struct SlotMeta {
-    std::int64_t sched_ns = 0;
-    std::uint32_t gen = 0;
-  };
-
   /// Hand out a free slot index, growing by one chunk when exhausted.
   [[nodiscard]] std::uint32_t acquire() {
     if (!free_.empty()) {
@@ -142,36 +132,29 @@ class SlotPool {
       // a deep pool.
       // lossburst-lint: allow(datapath-alloc): sidecar growth; stops at the high-water mark
       const std::size_t want = std::bit_ceil(count_ + kChunkSlots);
-      meta_.reserve(want);
+      gen_.reserve(want);
       free_.reserve(want);
     }
-    meta_.push_back(SlotMeta{});
+    gen_.push_back(0);
     return count_++;
   }
 
-  /// Generation word for slot `idx`. Handles and timer entries carry the
-  /// whole word; equality against it is the staleness/pending test.
-  [[nodiscard]] std::uint32_t gen(std::uint32_t idx) const { return meta_[idx].gen; }
+  /// Generation word for slot `idx`: bits 1+ count fire/cancel cycles, bit 0
+  /// flags a trivially-destructible occupant. Handles and timer entries carry
+  /// the whole word; equality against it is the staleness/pending test.
+  [[nodiscard]] std::uint32_t gen(std::uint32_t idx) const { return gen_[idx]; }
 
-  /// The simulated instant the slot's occupant was scheduled at (set by
-  /// arm(), read back at dispatch). Sidecar storage keeps it out of the
-  /// 24-byte timer entries the heap shuffles around.
-  [[nodiscard]] std::int64_t scheduled_at(std::uint32_t idx) const {
-    return meta_[idx].sched_ns;
-  }
-
-  /// Record the destructor class and scheduling instant of the slot's new
-  /// occupant; returns the generation word the entry/handle should carry.
-  std::uint32_t arm(std::uint32_t idx, bool trivial_destroy, std::int64_t sched_ns) {
-    SlotMeta& m = meta_[idx];
-    m.sched_ns = sched_ns;
-    m.gen = (m.gen & ~1u) | static_cast<std::uint32_t>(trivial_destroy);
-    return m.gen;
+  /// Record the destructor class of the slot's new occupant; returns the
+  /// generation word the entry/handle should carry.
+  std::uint32_t arm(std::uint32_t idx, bool trivial_destroy) {
+    std::uint32_t& g = gen_[idx];
+    g = (g & ~1u) | static_cast<std::uint32_t>(trivial_destroy);
+    return g;
   }
 
   void release(std::uint32_t idx) {
     slot(idx).ops = nullptr;
-    meta_[idx].gen += 2;
+    gen_[idx] += 2;
     free_.push_back(idx);
   }
 
@@ -180,7 +163,7 @@ class SlotPool {
   /// its stale ops pointer; it refers to a destroy that is a no-op, so the
   /// pool destructor stays safe and the next acquire simply overwrites it.
   void release_trivial(std::uint32_t idx) {
-    meta_[idx].gen += 2;
+    gen_[idx] += 2;
     free_.push_back(idx);
   }
 
@@ -189,7 +172,7 @@ class SlotPool {
 
  private:
   std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::vector<SlotMeta> meta_;  // per-slot generation + scheduled-at records
+  std::vector<std::uint32_t> gen_;  // per-slot generation words
   std::vector<std::uint32_t> free_;
   std::uint32_t count_ = 0;
 };
@@ -271,7 +254,7 @@ class EventQueue {
       ::new (static_cast<void*>(s.buf)) D(std::forward<F>(fn));
       s.ops = &detail::kCallableOps<D>;
       s.tag = tag;
-      gen = small_.arm(idx, std::is_trivially_destructible_v<D>, now_ns_);
+      gen = small_.arm(idx, std::is_trivially_destructible_v<D>);
       id = idx;
     } else {
       const std::uint32_t idx = large_.acquire();
@@ -279,7 +262,7 @@ class EventQueue {
       ::new (static_cast<void*>(s.buf)) D(std::forward<F>(fn));
       s.ops = &detail::kCallableOps<D>;
       s.tag = tag;
-      gen = large_.arm(idx, std::is_trivially_destructible_v<D>, now_ns_);
+      gen = large_.arm(idx, std::is_trivially_destructible_v<D>);
       id = idx | kLargePoolBit;
     }
     ladder_.push(detail::TimerEntry{at.ns(), next_seq_, id, gen});
@@ -332,8 +315,7 @@ class EventQueue {
     ::new (static_cast<void*>(s.buf)) D(std::forward<F>(fn));
     s.ops = &detail::kCallableOps<D>;
     s.tag = tag;
-    const std::uint32_t gen =
-        small_.arm(idx, std::is_trivially_destructible_v<D>, virtual_sched_ns);
+    const std::uint32_t gen = small_.arm(idx, std::is_trivially_destructible_v<D>);
     ladder_.push(detail::TimerEntry{at.ns(), seq, idx, gen});
     ++live_;
     ++wedged_;
@@ -378,10 +360,6 @@ class EventQueue {
     return next_seq_ / kSeqStride - 1 + wedged_;
   }
 
-  /// Raw insertion sequence the next schedule() will carry. The batched link
-  /// service captures it as its same-instant anchor (DESIGN.md §11).
-  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
-
   /// Engine telemetry (DESIGN.md §8): lifetime fired/cancelled counts and
   /// the most entries (all tiers, stale included) the run ever held at once.
   [[nodiscard]] std::uint64_t fired_count() const { return fired_; }
@@ -390,24 +368,6 @@ class EventQueue {
 
   /// Tag of the most recently dispatched event (valid after pop_and_run).
   [[nodiscard]] obs::EventTag last_dispatch_tag() const { return last_tag_; }
-
-  /// Dispatch-order key of the event currently being dispatched: the
-  /// simulated instant it was scheduled at and its insertion sequence. Valid
-  /// while pop_and_run() is invoking a callback; the batched link service
-  /// compares these against its virtual per-packet boundaries to replay the
-  /// scalar path's same-instant dispatch order exactly (DESIGN.md §11).
-  [[nodiscard]] std::int64_t current_event_scheduled_at_ns() const { return cur_sched_ns_; }
-  [[nodiscard]] std::uint64_t current_event_seq() const { return cur_seq_; }
-
-  /// Dispatch-order key of the earliest pending event.
-  struct NextEventMeta {
-    std::int64_t at_ns;
-    std::int64_t scheduled_at_ns;
-    std::uint64_t seq;
-  };
-
-  /// Fill `m` with the earliest pending event's key; false when empty.
-  bool peek_next(NextEventMeta& m) const;
 
   /// True when `e` refers to a fired or cancelled event (its slot's
   /// generation moved on). The ladder consults this on every dispatch and
@@ -427,11 +387,6 @@ class EventQueue {
   friend class EventHandle;
 
   static constexpr std::uint32_t kLargePoolBit = 0x8000'0000u;
-
-  [[nodiscard]] std::int64_t slot_scheduled_at(std::uint32_t id) const {
-    return (id & kLargePoolBit) != 0 ? large_.scheduled_at(id & ~kLargePoolBit)
-                                     : small_.scheduled_at(id);
-  }
 
   [[nodiscard]] std::uint32_t slot_gen(std::uint32_t id) const {
     LOSSBURST_INVARIANT(((id & kLargePoolBit) != 0 ? (id & ~kLargePoolBit) < large_.size()
@@ -476,12 +431,9 @@ class EventQueue {
   std::uint64_t wedge_band_ = 0;  ///< band of the last wedge (tie continuation)
   std::uint32_t wedge_tie_ = 0;
   bool record_instants_ = false;
-  // Dispatch clock and current-event key (see the accessors above). now_ns_
-  // advances as events fire; schedule() stamps it into each new entry so
-  // same-instant ordering decisions can be replayed later.
+  // Dispatch clock: the instant of the last dispatched event. Shard mode
+  // records a watermark each time it strictly advances.
   std::int64_t now_ns_ = 0;
-  std::int64_t cur_sched_ns_ = 0;
-  std::uint64_t cur_seq_ = 0;
   std::uint64_t fired_ = 0;
   std::uint64_t cancelled_ = 0;
   obs::EventTag last_tag_ = obs::EventTag::kGeneric;

@@ -95,13 +95,11 @@ class Simulator {
   void set_telemetry(obs::Telemetry* telemetry);
   [[nodiscard]] obs::Telemetry* telemetry() const { return telemetry_; }
 
-  /// Link-layer work-unit accounting (DESIGN.md §8/§11): links call this
-  /// once per packet whose service completes — whether the packet settled
-  /// via a scalar finish_tx or inside a kLinkBatch burst — so the profiler
-  /// can charge batched dispatch per packet instead of per event. One plain
-  /// increment; no telemetry gate needed.
+  /// Link-layer work-unit accounting (DESIGN.md §8): links call this once
+  /// per packet whose serialization completes, so the profiler reports
+  /// link work per packet alongside dispatch counts. One plain increment;
+  /// no telemetry gate needed.
   void count_link_unit() { ++link_units_; }
-  [[nodiscard]] std::uint64_t link_units() const { return link_units_; }
 
  private:
   std::uint64_t run_until_observed(TimePoint until);

@@ -248,88 +248,12 @@ TEST(FaultGilbertTest, ClosedLoopRecoversInjectedParameters) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Burst-batched fault advance (DESIGN.md §11): advance_burst() must draw
-// the same verdicts from the same streams as n scalar calls, leaving the
-// RNGs in the same state afterwards.
-
-namespace {
-
-fault::LinkFaultState make_burst_state(std::uint64_t seed, bool gilbert, bool wire) {
-  fault::LinkFaultState s;
-  util::Rng root = util::Rng(seed).split(1);
-  if (gilbert) {
-    s.gilbert = fault::GilbertChannel(0.05, 0.3, 0.8, root.split(1));
-    s.gilbert_enabled = true;
-  }
-  s.corrupt_rng = root.split(2);
-  if (wire) {
-    s.corrupt_enabled = true;
-    s.corrupt_prob = 0.07;
-    s.duplicate_prob = 0.04;
-  }
-  return s;
-}
-
-}  // namespace
-
-TEST(FaultBurstTest, AdvanceBurstBitIdenticalToScalarForAllSizes) {
-  // Every enabled-layer combination, burst sizes 1..64 (kMaxBatch).
-  for (const bool gilbert : {false, true}) {
-    for (const bool wire : {false, true}) {
-      for (std::uint32_t n = 1; n <= net::Link::kMaxBatch; ++n) {
-        fault::LinkFaultState scalar = make_burst_state(7'000 + n, gilbert, wire);
-        fault::LinkFaultState burst = make_burst_state(7'000 + n, gilbert, wire);
-        const std::int64_t t0 = 1'000'000;
-        std::vector<std::uint8_t> want(n, 0);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          // The scalar path: loss first; corruption/duplication dice only
-          // roll for packets the chain lets through (Link::finish_tx).
-          if (scalar.loss_drop(t0 + i)) {
-            want[i] = fault::LinkFaultState::kVerdictGilbertDrop;
-            continue;
-          }
-          if (scalar.corrupt_now(t0 + i)) want[i] |= fault::LinkFaultState::kVerdictCorrupt;
-          if (scalar.duplicate_now(t0 + i)) want[i] |= fault::LinkFaultState::kVerdictDuplicate;
-        }
-        std::vector<std::uint8_t> got(n, 0xFF);
-        burst.advance_burst(t0, n, got.data());
-        ASSERT_EQ(got, want) << "gilbert=" << gilbert << " wire=" << wire << " n=" << n;
-        // The streams must also land in the same position: one more scalar
-        // draw from each state has to agree.
-        EXPECT_EQ(scalar.loss_drop(t0 + n), burst.loss_drop(t0 + n));
-        EXPECT_EQ(scalar.corrupt_now(t0 + n), burst.corrupt_now(t0 + n));
-        EXPECT_EQ(scalar.duplicate_now(t0 + n), burst.duplicate_now(t0 + n));
-      }
-    }
-  }
-}
-
-TEST(FaultBurstTest, NextChangeReportsWindowAndEdgeBoundaries) {
-  fault::LinkFaultState s;
-  EXPECT_EQ(s.next_change_ns(0), fault::LinkFaultState::kForever);
-  s.gilbert_enabled = true;
-  s.gilbert_start_ns = 100;
-  s.gilbert_stop_ns = 500;
-  s.corrupt_enabled = true;
-  s.corrupt_start_ns = 300;
-  s.corrupt_stop_ns = fault::LinkFaultState::kForever;
-  s.change_edges = {50, 250, 900};
-  EXPECT_EQ(s.next_change_ns(0), 50);
-  EXPECT_EQ(s.next_change_ns(50), 100);   // spent edges skipped
-  EXPECT_EQ(s.next_change_ns(100), 250);
-  EXPECT_EQ(s.next_change_ns(260), 300);
-  EXPECT_EQ(s.next_change_ns(300), 500);
-  EXPECT_EQ(s.next_change_ns(500), 900);
-  EXPECT_EQ(s.next_change_ns(900), fault::LinkFaultState::kForever);
-}
-
 // The closed loop again, but with traffic shaped so the bottleneck services
-// back-to-back bursts: three synchronized CBR probes make every service
-// round a scalar head plus a batch of two, so the loss stream the fitter
-// sees is produced by advance_burst() verdicts, settled lazily. The
-// injected parameters must still be recovered, and every drop accounted.
-TEST(FaultGilbertTest, ClosedLoopRecoversInjectedParametersThroughBatchedPath) {
+// back-to-back bursts: three synchronized CBR probes queue three packets per
+// round, so the Gilbert chain advances on packets of different flows at
+// adjacent serialization slots. The injected parameters must still be
+// recovered from the interleaved loss sequence, and every drop accounted.
+TEST(FaultGilbertTest, ClosedLoopRecoversInjectedParametersFromSynchronizedProbes) {
   constexpr double kP = 0.02;
   constexpr double kQ = 0.25;
   constexpr std::size_t kFlows = 3;
@@ -357,12 +281,6 @@ TEST(FaultGilbertTest, ClosedLoopRecoversInjectedParametersThroughBatchedPath) {
     srcs[f]->start(TimePoint::zero());
   }
   sim.run();
-
-  ASSERT_GT(bell.bottleneck_fwd->batches(), 0u)
-      << "synchronized probes must exercise the batched service path";
-  EXPECT_EQ(bell.bottleneck_fwd->batched_packets(),
-            2 * bell.bottleneck_fwd->batches())
-      << "each probe round batches exactly the two queued packets";
 
   // Serialization order at the bottleneck is round-robin over the flows
   // (same injection schedule, same access delay, FIFO queue), so the global

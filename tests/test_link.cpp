@@ -195,5 +195,51 @@ TEST(LinkTest, CountsBytesAndPackets) {
   EXPECT_EQ(link->bytes_sent(), 1500u);
 }
 
+TEST(LinkTest, CountersAreExactWhenTheRunStopsMidBacklog) {
+  // A run that stops while a backlog drains must read the counters and the
+  // queue depth of every serialization started so far: 10 x 1 ms packets
+  // queued at t = 0 and stopped at 4.5 ms means five have started and four
+  // have finished. The 10 ms propagation delay keeps every arrival past the
+  // stop, so no delivery event touches the link before the counters are read.
+  sim::Simulator sim;
+  Network net(sim);
+  Link* link = net.add_link("l", 8'000'000, 10_ms, std::make_unique<DropTailQueue>(16));
+  const Route* route = net.add_route({link});
+  Collector sink(sim);
+  sim.in(Duration::zero(), [&] {
+    for (SeqNum s = 0; s < 10; ++s) inject(make_packet(s, 1000, route, &sink));
+  });
+  sim.run_until(TimePoint::zero() + Duration::micros(4500));
+  EXPECT_EQ(link->packets_sent(), 5u);
+  EXPECT_EQ(link->bytes_sent(), 5000u);
+  EXPECT_EQ(link->queue().len_packets(), 5u);
+  EXPECT_EQ(link->queue().counters().dequeued, 5u);
+  EXPECT_TRUE(sink.seqs.empty());
+}
+
+TEST(LinkTest, SameInstantEnqueueSeesTheQueueInSchedulingOrder) {
+  // Packets 0..4 reach a 1 ms/packet link with room for 4 queued: 1..4 wait
+  // and the serializer frees one slot per ms. An event at 2 ms, scheduled
+  // before any transmission started, schedules an enqueue of three packets
+  // at 3 ms — the instant packet 2 finishes. Equal-time events run in
+  // scheduling order, and that enqueue was scheduled before packet 2's
+  // "transmit done", so it still finds packets 3 and 4 queued: two fit and
+  // one is dropped.
+  sim::Simulator sim;
+  Network net(sim);
+  Link* link = net.add_link("l", 8'000'000, 50_ms, std::make_unique<DropTailQueue>(4));
+  const Route* route = net.add_route({link});
+  Collector sink(sim);
+  (void)sim.at(TimePoint::zero() + 2_ms, [&] {
+    (void)sim.at(TimePoint::zero() + 3_ms, [&] {
+      for (SeqNum s = 10; s < 13; ++s) inject(make_packet(s, 1000, route, &sink));
+    });
+  });
+  for (SeqNum s = 0; s < 5; ++s) inject(make_packet(s, 1000, route, &sink));
+  sim.run();
+  EXPECT_EQ(link->queue().counters().dropped, 1u);
+  EXPECT_EQ(sink.seqs, (std::vector<SeqNum>{0, 1, 2, 3, 4, 10, 11}));
+}
+
 }  // namespace
 }  // namespace lossburst::net

@@ -2,8 +2,8 @@
 // ring, decimation chain, top-flows aggregator, snapshot publisher, and the
 // flight-recorder harvest cursor — including the gating/wraparound contract
 // (gated record kinds never appear in streamed intervals; ring wrap is
-// counted as loss, never double-counted) and the profiler's work-unit
-// attribution equivalence between scalar and burst-batched link dispatch.
+// counted as loss, never double-counted) and the profiler's per-packet
+// work-unit attribution for link dispatch.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -457,31 +457,19 @@ TEST(RecorderCursorTest, HarvestIsDeltaBasedAndWrapAware) {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler work-unit attribution: batched dispatch charges its whole burst
-// to one kLinkBatch sample, but the *unit* totals (packets settled) must
-// match the scalar path's — that is what makes per-tag profiles comparable.
+// Profiler work-unit attribution: every packet the link serializes charges
+// exactly one unit to the kLinkTx dispatch that completes it, so per-tag
+// profiles can report link work per packet.
 
-struct ProfiledRun {
-  std::uint64_t total_units = 0;
-  std::uint64_t batch_dispatches = 0;
-  std::uint64_t batch_max_units = 0;
-  std::uint64_t link_units = 0;
-  std::vector<TimePoint> arrivals;
-};
-
-ProfiledRun run_burst_workload(bool batched) {
+TEST(ProfileEquivalenceTest, LinkTxUnitsEqualPacketsServiced) {
   sim::Simulator sim;
   obs::Telemetry tel;
   tel.enable_profiler();
   sim.set_telemetry(&tel);
 
   net::Network net(sim);
-  // Propagation (50 ms) far exceeds a burst's serialization span (8 ms), so
-  // on the batched path the kLinkBatch end event settles the whole burst in
-  // one dispatch rather than arrivals nibbling it unit by unit.
   net::Link* link = net.add_link("l", 8'000'000, 50_ms,
                                  std::make_unique<net::DropTailQueue>(64));
-  link->set_batch_enabled(batched);
   const net::Route* route = net.add_route({link});
 
   struct Sink final : net::Endpoint {
@@ -493,8 +481,7 @@ ProfiledRun run_burst_workload(bool batched) {
     std::vector<TimePoint> times;
   } sink(sim);
 
-  // Three bursts of back-to-back packets: each burst batches as one dispatch
-  // on the batched path, one kLinkTx dispatch per packet on the scalar path.
+  // Three bursts of 8 back-to-back packets: each queues behind a busy line.
   for (int burst = 0; burst < 3; ++burst) {
     sim.in(Duration::millis(10 * burst), [&, burst] {
       for (net::SeqNum s = 0; s < 8; ++s) {
@@ -511,37 +498,16 @@ ProfiledRun run_burst_workload(bool batched) {
   sim.run();
 
   const obs::LoopProfiler* prof = tel.profiler();
-  ProfiledRun r;
+  std::uint64_t total_units = 0;
   for (std::size_t t = 0; t < obs::kEventTagCount; ++t) {
-    r.total_units += prof->units(static_cast<obs::EventTag>(t));
+    total_units += prof->units(static_cast<obs::EventTag>(t));
   }
-  r.batch_dispatches = prof->count(obs::EventTag::kLinkBatch);
-  r.batch_max_units = prof->max_units(obs::EventTag::kLinkBatch);
-  r.link_units = prof->units(obs::EventTag::kLinkTx) +
-                 prof->units(obs::EventTag::kLinkBatch);
-  r.arrivals = sink.times;
+  EXPECT_EQ(link->packets_sent(), 24u);
+  EXPECT_EQ(prof->units(obs::EventTag::kLinkTx), link->packets_sent());
+  EXPECT_EQ(prof->count(obs::EventTag::kLinkTx), link->packets_sent());
+  EXPECT_EQ(total_units, link->packets_sent());
+  EXPECT_EQ(sink.times.size(), link->packets_sent());
   sim.set_telemetry(nullptr);
-  return r;
-}
-
-TEST(ProfileEquivalenceTest, BatchedAndScalarDispatchAttributeSameUnits) {
-  const ProfiledRun scalar = run_burst_workload(false);
-  const ProfiledRun batched = run_burst_workload(true);
-
-  // Identical packet deliveries (batching is a perf path, not a semantic).
-  ASSERT_EQ(scalar.arrivals, batched.arrivals);
-  ASSERT_EQ(scalar.arrivals.size(), 24u);
-
-  // The batched run really batched: fewer dispatches, multi-packet bursts.
-  EXPECT_EQ(scalar.batch_dispatches, 0u);
-  EXPECT_GT(batched.batch_dispatches, 0u);
-  EXPECT_GT(batched.batch_max_units, 1u);
-
-  // Per-packet unit attribution makes the profiles comparable: every packet
-  // settles exactly one unit under a link tag on both paths.
-  EXPECT_EQ(scalar.link_units, 24u);
-  EXPECT_EQ(batched.link_units, 24u);
-  EXPECT_EQ(scalar.total_units, batched.total_units);
 }
 
 }  // namespace

@@ -447,4 +447,48 @@ TEST(ServeControlTest, OverlongLineIsRejectedAndServerKeepsServing) {
   server.stop();
 }
 
+// ---------------------------------------------------------------------------
+// Bounded connections: past kMaxClients concurrent clients the server turns
+// a connection away with one error line; finished clients free their slot.
+
+TEST(ServeControlTest, ConnectionBeyondCapIsRefused) {
+  obs::live::LivePublisher pub;
+  serve::ControlQueue control;
+  serve::TelemetryServer server(pub, control);
+  server.start();
+
+  std::vector<std::unique_ptr<SocketClient>> held;
+  for (std::size_t i = 0; i < serve::TelemetryServer::kMaxClients; ++i) {
+    held.push_back(std::make_unique<SocketClient>(server.port()));
+    ASSERT_TRUE(held.back()->connected()) << "client " << i;
+    ASSERT_NE(held.back()->read_until("\"type\":\"hello\""), "") << "client " << i;
+  }
+  SocketClient extra(server.port());
+  ASSERT_TRUE(extra.connected());
+  const std::string err = extra.read_line();
+  EXPECT_NE(err.find("\"type\":\"error\""), std::string::npos) << err;
+  EXPECT_NE(err.find("too many clients"), std::string::npos) << err;
+  EXPECT_EQ(extra.read_line(), "");  // then the server hangs up
+
+  // The held clients are still served.
+  held.front()->send_line(R"({"cmd":"stats"})");
+  EXPECT_NE(held.front()->read_until("\"type\":\"stats\""), "");
+  server.stop();
+}
+
+TEST(ServeControlTest, SequentialClientsNeverExhaustTheCap) {
+  obs::live::LivePublisher pub;
+  serve::ControlQueue control;
+  serve::TelemetryServer server(pub, control);
+  server.start();
+
+  for (std::size_t i = 0; i < 3 * serve::TelemetryServer::kMaxClients; ++i) {
+    SocketClient c(server.port());
+    ASSERT_TRUE(c.connected()) << "cycle " << i;
+    ASSERT_NE(c.read_line().find("\"type\":\"hello\""), std::string::npos)
+        << "cycle " << i;
+  }  // each client closes at scope exit
+  server.stop();
+}
+
 }  // namespace
