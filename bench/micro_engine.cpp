@@ -9,11 +9,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <new>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "fault/injector.hpp"
 #include "fec/adapt.hpp"
@@ -654,6 +658,133 @@ void BM_ObsSteadyStateAllocs(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ObsSteadyStateAllocs);
+
+// Counts and discards what the exporters write, so the export benchmarks
+// time formatting and stream calls, not the file system.
+class DiscardBuf : public std::streambuf {
+ public:
+  std::int64_t bytes = 0;
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += n;
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    ++bytes;
+    return traits_type::not_eof(c);
+  }
+};
+
+void BM_IntervalCsvExport(benchmark::State& state) {
+  // IntervalSeries::write_csv on a registry shaped like the observed FIG2
+  // dumbbell's (1300 columns x 350 rows): per group of 13 columns, 9
+  // counters that advance by small random steps (often 0), 2 integral
+  // gauges and 2 fractional ones (cwnd- and srtt-like), so most cells are
+  // integers as in the real export.
+  constexpr std::size_t kColumns = 1300;
+  constexpr std::size_t kRows = 350;
+  obs::Registry registry;
+  const int owner = 0;
+  std::vector<std::uint64_t> counters(kColumns);
+  std::vector<double> gauges(kColumns);
+  const obs::Registry::ReadFn read_gauge = [](const void* ctx) {
+    return *static_cast<const double*>(ctx);
+  };
+  for (std::size_t c = 0; c < kColumns; ++c) {
+    std::string name = std::to_string(c / 13);
+    name += '.';
+    name += std::to_string(c % 13);
+    if (c % 13 < 9) {
+      registry.add_counter(name, &counters[c], &owner);
+    } else {
+      registry.add(obs::MetricKind::kGauge, name, read_gauge, &gauges[c], &owner);
+    }
+  }
+  obs::IntervalSeries series(registry);
+  series.reserve(kRows);
+  util::Rng rng(31);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      switch (c % 13) {
+        case 9:
+        case 10: gauges[c] = static_cast<double>(rng.uniform_int(0, 64)); break;
+        case 11: gauges[c] = 2.0 + rng.uniform(0.0, 60.0); break;
+        case 12: gauges[c] = 0.04 + rng.uniform(0.0, 0.2); break;
+        default:
+          if (rng.uniform_int(0, 3) != 0) {
+            counters[c] += static_cast<std::uint64_t>(rng.uniform_int(1, 40000));
+          }
+      }
+    }
+    series.sample(TimePoint(static_cast<std::int64_t>(r) * 100'000'000));
+  }
+  DiscardBuf buf;
+  std::ostream out(&buf);
+  for (auto _ : state) {
+    series.write_csv(out);
+    benchmark::DoNotOptimize(buf.bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kRows * kColumns));
+  state.SetBytesProcessed(buf.bytes);
+}
+BENCHMARK(BM_IntervalCsvExport)->Unit(benchmark::kMillisecond);
+
+void BM_ChromeTraceExport(benchmark::State& state) {
+  // write_chrome_trace on a full ring at the default capacity and kinds:
+  // 40 tracks of FIFO queues whose packets open and close async spans
+  // (some dropped instead), with deliveries and cwnd counter updates mixed
+  // in roughly as the observed dumbbell's ring holds them.
+  obs::FlightRecorder rec;
+  const std::size_t capacity = obs::ObsConfig{}.trace_capacity;
+  rec.configure(capacity, obs::kDefaultKinds);
+  std::vector<std::uint16_t> tracks;
+  for (int t = 0; t < 40; ++t) {
+    std::string name = "flow";
+    name += std::to_string(t);
+    tracks.push_back(rec.register_track(std::move(name)));
+  }
+  std::vector<std::vector<std::uint64_t>> fifo(tracks.size());
+  util::Rng rng(37);
+  std::int64_t t_ns = 0;
+  for (std::uint32_t seq = 0; rec.total_records() < 2 * capacity; ++seq) {
+    t_ns += rng.uniform_int(100, 20'000);
+    const auto k = static_cast<std::size_t>(rng.uniform_int(0, 39));
+    const std::uint16_t track = tracks[k];
+    const std::uint64_t pkt = obs::pack_packet(track, seq);
+    std::vector<std::uint64_t>& q = fifo[k];
+    if (q.size() >= 8 && rng.uniform() < 0.1) {
+      rec.record(obs::RecordKind::kPktDrop, t_ns, track, pkt,
+                 static_cast<std::uint32_t>(q.size()));
+      continue;
+    }
+    rec.record(obs::RecordKind::kPktEnqueue, t_ns, track, pkt,
+               static_cast<std::uint32_t>(q.size()));
+    q.push_back(pkt);
+    if (q.size() > static_cast<std::size_t>(rng.uniform_int(2, 12))) {
+      rec.record(obs::RecordKind::kPktDequeue, t_ns, track, q.front(), 0);
+      rec.record(obs::RecordKind::kPktDeliver, t_ns, track, q.front(), 0);
+      q.erase(q.begin());
+    }
+    if (seq % 8 == 0) {
+      const double cwnd = 2.0 + rng.uniform(0.0, 40.0);
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &cwnd, sizeof bits);
+      rec.record(obs::RecordKind::kCwnd, t_ns, track, bits, 0);
+    }
+  }
+  DiscardBuf buf;
+  std::ostream out(&buf);
+  for (auto _ : state) {
+    obs::write_chrome_trace(out, rec);
+    benchmark::DoNotOptimize(buf.bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rec.size()));
+  state.SetBytesProcessed(buf.bytes);
+}
+BENCHMARK(BM_ChromeTraceExport)->Unit(benchmark::kMillisecond);
 
 void BM_LivePublish(benchmark::State& state) {
   // Per-interval cost of the live telemetry publisher (DESIGN.md §13) on a

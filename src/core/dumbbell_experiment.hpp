@@ -46,7 +46,8 @@ struct DumbbellExperimentConfig {
 
   /// Telemetry (DESIGN.md §8): set obs.dir to export interval CSV + Chrome
   /// trace JSON for this run. Off (zero overhead beyond a few branches) when
-  /// dir is empty.
+  /// dir is empty. An artifact that cannot be written throws
+  /// std::runtime_error naming its path.
   obs::ObsConfig obs{};
 
   /// Fault plan (DESIGN.md §10): impairments to inject, keyed by link name

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -304,16 +303,15 @@ ShardCampaignResult run_shard_campaign(const ShardCampaignConfig& cfg) {
       namespace fs = std::filesystem;
       fs::create_directories(cfg.obs.dir);
       for (std::size_t k = 0; k < cfg.shards; ++k) {
-        std::ofstream csv(fs::path(cfg.obs.dir) /
-                          (cfg.obs.prefix + "s" + std::to_string(k) +
-                           "_intervals.csv"));
-        pump.series[k]->write_csv(csv);
+        obs::write_artifact(
+            fs::path(cfg.obs.dir) / (cfg.obs.prefix + "s" + std::to_string(k) + "_intervals.csv"),
+            [&](std::ostream& f) { pump.series[k]->write_csv(f); });
       }
       std::vector<const obs::FlightRecorder*> recs;
       recs.reserve(cfg.shards);
       for (const auto& t : tel) recs.push_back(&t->recorder());
-      std::ofstream trace(fs::path(cfg.obs.dir) / (cfg.obs.prefix + "trace.json"));
-      obs::write_chrome_trace(trace, recs);
+      obs::write_artifact(fs::path(cfg.obs.dir) / (cfg.obs.prefix + "trace.json"),
+                          [&](std::ostream& f) { obs::write_chrome_trace(f, recs); });
     }
   }
 

@@ -59,7 +59,8 @@ struct ShardCampaignConfig {
   /// Sampling reads registries at those boundaries; the sampled values are
   /// exact for K == 1 and barrier-consistent (deterministic per K) for
   /// K > 1. Telemetry never alters event outcomes: the digest for a given
-  /// (seed, K) is identical with obs on or off.
+  /// (seed, K) is identical with obs on or off. An artifact that cannot be
+  /// written throws std::runtime_error naming its path.
   obs::ObsConfig obs{};
 };
 

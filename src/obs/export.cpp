@@ -1,55 +1,22 @@
 #include "obs/export.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
+#include <concepts>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
+#include "obs/format.hpp"
 #include "obs/tags.hpp"
 #include "util/csv.hpp"
 
 namespace lossburst::obs {
-
-namespace {
-
-// All numeric output goes through snprintf with explicit formats: the byte
-// stream must not depend on locale or default ostream precision.
-std::string fmt_value(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string fmt_time_s(util::TimePoint t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld.%09lld",
-                static_cast<long long>(t.ns() / 1'000'000'000),
-                static_cast<long long>(t.ns() % 1'000'000'000));
-  return buf;
-}
-
-// Simulated nanoseconds → trace_event microseconds, printed exactly.
-void put_ts(std::ostream& out, std::int64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld.%03lld", static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000));
-  out << buf;
-}
-
-void put_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
-}  // namespace
 
 IntervalSeries::IntervalSeries(const Registry& registry) : registry_(&registry) {
   names_.reserve(registry.size());
@@ -71,84 +38,147 @@ void IntervalSeries::sample(util::TimePoint t) {
 }
 
 void IntervalSeries::write_csv(std::ostream& out) const {
-  // Fields are pre-formatted with snprintf (see fmt_value) so the emitted
-  // bytes never depend on stream precision/locale; CsvWriter handles the
-  // row framing and RFC 4180 escaping of metric names.
+  // CsvWriter frames the header and RFC 4180-escapes the metric names. Data
+  // rows are numbers only, formatted straight into one reused row buffer
+  // and handed to the stream with a single write per row.
   util::CsvWriter csv(out);
   const std::size_t n = names_.size();
   csv.row_append("time_s");
   for (const std::string& name : names_) csv.row_append(name);
   csv.end_row();
+  std::string row(2 * kNumberChars + n * (kNumberChars + 1) + 1, '\0');
   for (std::size_t r = 0; r < times_.size(); ++r) {
-    csv.row_append(fmt_time_s(times_[r]));
+    char* p = put_fixed(row.data(), times_[r].ns(), 9);
+    const double* cur = values_.data() + r * n;
+    const double* prev = r > 0 ? cur - n : nullptr;
     for (std::size_t c = 0; c < n; ++c) {
-      double v = values_[r * n + c];
-      if (kinds_[c] == MetricKind::kCounter && r > 0) v -= values_[(r - 1) * n + c];
-      csv.row_append(fmt_value(v));
+      double v = cur[c];
+      if (prev != nullptr && kinds_[c] == MetricKind::kCounter) v -= prev[c];
+      *p++ = ',';
+      p = put_number(p, v);
     }
-    csv.end_row();
+    *p++ = '\n';
+    out.write(row.data(), p - row.data());
   }
 }
 
 namespace {
 
+// Typed trace fragments for TraceBuffer::put.
+struct Ts {  // simulated nanoseconds as trace_event microseconds, exactly
+  std::int64_t ns;
+};
+struct SpanName {  // "f<flow>#<seq>" of a packed packet id
+  std::uint64_t a;
+};
+struct JsonString {  // quoted, with '"' and '\' escaped
+  std::string_view s;
+};
+
+// Trace JSON is appended to one buffer that goes to the stream whenever it
+// passes kTraceChunk bytes at an event boundary, so an export holds about
+// 16 KiB, never a whole file. A 64 KiB chunk ran no faster and added its
+// size to the observed dumbbell's peak RSS.
+constexpr std::size_t kTraceChunk = 16 * 1024;
+
+class TraceBuffer {
+ public:
+  explicit TraceBuffer(std::ostream& out) : out_(out) { buf_.reserve(2 * kTraceChunk); }
+
+  template <typename... Parts>
+  void put(const Parts&... parts) {
+    (put_one(parts), ...);
+  }
+  /// Call once per event: writes the buffer out when it is past a chunk.
+  void end_event() {
+    if (buf_.size() >= kTraceChunk) flush();
+  }
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+
+ private:
+  void put_one(std::string_view s) { buf_.append(s); }
+  template <std::integral T>
+  void put_one(T v) {
+    if constexpr (std::is_same_v<T, char>) {
+      buf_.push_back(v);
+    } else {
+      char tmp[kNumberChars];
+      buf_.append(tmp, std::to_chars(tmp, tmp + sizeof tmp, v).ptr);
+    }
+  }
+  void put_one(double v) {
+    char tmp[kNumberChars];
+    buf_.append(tmp, put_number(tmp, v));
+  }
+  void put_one(Ts t) {
+    char tmp[2 * kNumberChars];
+    buf_.append(tmp, put_fixed(tmp, t.ns, 3));
+  }
+  void put_one(SpanName n) { put('f', packet_flow(n.a), '#', packet_seq(n.a)); }
+  void put_one(JsonString j) {
+    buf_.push_back('"');
+    for (char c : j.s) {
+      if (c == '"' || c == '\\') buf_.push_back('\\');
+      buf_.push_back(c);
+    }
+    buf_.push_back('"');
+  }
+
+  std::ostream& out_;
+  std::string buf_;
+};
+
 // One recorder's events under one trace_event pid. `first` and `next_id`
 // are shared across shards so the comma framing and span ids stay globally
 // unique in the multi-recorder output.
-void write_trace_process(std::ostream& out, const FlightRecorder& rec, int pid,
-                         const std::string& process_name, bool& first,
+void write_trace_process(TraceBuffer& out, const FlightRecorder& rec, int pid,
+                         std::string_view process_name, bool& first,
                          std::uint64_t& next_id) {
   auto sep = [&] {
-    if (!first) out << ",\n";
+    out.end_event();
+    if (!first) out.put(",\n");
     first = false;
   };
 
   sep();
-  out << R"({"name":"process_name","ph":"M","pid":)" << pid
-      << R"(,"tid":0,"args":{"name":)";
-  put_json_string(out, process_name);
-  out << "}}";
+  out.put(R"({"name":"process_name","ph":"M","pid":)", pid, R"(,"tid":0,"args":{"name":)",
+          JsonString{process_name}, "}}");
   const std::vector<std::string>& tracks = rec.track_names();
   for (std::size_t i = 0; i < tracks.size(); ++i) {
     sep();
-    out << R"({"name":"thread_name","ph":"M","pid":)" << pid << R"(,"tid":)" << i
-        << R"(,"args":{"name":)";
-    put_json_string(out, tracks[i]);
-    out << "}}";
+    out.put(R"({"name":"thread_name","ph":"M","pid":)", pid, R"(,"tid":)", i,
+            R"(,"args":{"name":)", JsonString{tracks[i]}, "}}");
   }
 
-  // Open async spans: (track, packet id) → span id. std::map so that the
+  // Open async spans by (track, packet id). std::map so that the
   // end-of-trace close pass iterates in a deterministic order.
-  std::map<std::pair<std::uint16_t, std::uint64_t>, std::uint64_t> open;
-  std::map<std::pair<std::uint16_t, std::uint64_t>, std::int64_t> open_t;
+  struct OpenSpan {
+    std::uint64_t id;
+    std::int64_t t_ns;
+  };
+  std::map<std::pair<std::uint16_t, std::uint64_t>, OpenSpan> open;
   std::int64_t last_ns = 0;
 
-  auto span_name = [](std::uint64_t a) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "f%" PRIu32 "#%" PRIu32, packet_flow(a), packet_seq(a));
-    return std::string(buf);
-  };
   auto put_async = [&](char ph, std::uint16_t track, std::uint64_t a, std::uint64_t id,
                        std::int64_t ns) {
     sep();
-    out << R"({"cat":"q","name":")" << span_name(a) << R"(","ph":")" << ph
-        << R"(","id":)" << id << R"(,"pid":)" << pid << R"(,"tid":)" << track
-        << R"(,"ts":)";
-    put_ts(out, ns);
-    out << '}';
+    out.put(R"({"cat":"q","name":")", SpanName{a}, R"(","ph":")", ph, R"(","id":)", id,
+            R"(,"pid":)", pid, R"(,"tid":)", track, R"(,"ts":)", Ts{ns}, '}');
   };
-  // `arg_key`, when given, adds one numeric "args" entry.
-  auto put_instant = [&](const char* name, std::uint16_t track, std::int64_t ns,
-                         const std::string& arg_name, const char* arg_key = nullptr,
-                         std::uint64_t arg_value = 0) {
+  // `packet` appends the span name of r.a to the event name; `arg_key`,
+  // when given, adds r.b as the one numeric "args" entry.
+  auto put_instant = [&](std::string_view name, const TraceRecord& r, bool packet,
+                         std::string_view arg_key = {}) {
     sep();
-    out << R"({"cat":"pkt","name":")" << name;
-    if (!arg_name.empty()) out << ' ' << arg_name;
-    out << R"(","ph":"i","s":"t","pid":)" << pid << R"(,"tid":)" << track
-        << R"(,"ts":)";
-    put_ts(out, ns);
-    if (arg_key != nullptr) out << R"(,"args":{")" << arg_key << R"(":)" << arg_value << '}';
-    out << '}';
+    out.put(R"({"cat":"pkt","name":")", name);
+    if (packet) out.put(' ', SpanName{r.a});
+    out.put(R"(","ph":"i","s":"t","pid":)", pid, R"(,"tid":)", r.track, R"(,"ts":)",
+            Ts{r.t_ns});
+    if (!arg_key.empty()) out.put(R"(,"args":{")", arg_key, R"(":)", r.b, '}');
+    out.put('}');
   };
 
   for (std::size_t i = 0; i < rec.size(); ++i) {
@@ -157,54 +187,50 @@ void write_trace_process(std::ostream& out, const FlightRecorder& rec, int pid,
     switch (static_cast<RecordKind>(r.kind)) {
       case RecordKind::kPktEnqueue: {
         const std::uint64_t id = next_id++;
-        open[{r.track, r.a}] = id;
-        open_t[{r.track, r.a}] = r.t_ns;
+        open.insert_or_assign({r.track, r.a}, OpenSpan{id, r.t_ns});
         put_async('b', r.track, r.a, id, r.t_ns);
         break;
       }
       case RecordKind::kPktDequeue: {
         auto it = open.find({r.track, r.a});
         if (it != open.end()) {
-          put_async('e', r.track, r.a, it->second, r.t_ns);
+          put_async('e', r.track, r.a, it->second.id, r.t_ns);
           open.erase(it);
-          open_t.erase({r.track, r.a});
         }
         break;
       }
       case RecordKind::kPktDrop:
-        put_instant("drop", r.track, r.t_ns, span_name(r.a));
+        put_instant("drop", r, true);
         break;
       case RecordKind::kPktMark:
-        put_instant("mark", r.track, r.t_ns, span_name(r.a));
+        put_instant("mark", r, true);
         break;
       case RecordKind::kPktDeliver:
-        put_instant("deliver", r.track, r.t_ns, span_name(r.a));
+        put_instant("deliver", r, true);
         break;
       case RecordKind::kCwnd: {
         double v;
         static_assert(sizeof(v) == sizeof(r.a));
         std::memcpy(&v, &r.a, sizeof(v));
         sep();
-        out << R"({"cat":"cwnd","name":")" << tracks[r.track] << R"( cwnd","ph":"C","pid":)"
-            << pid << R"(,"ts":)";
-        put_ts(out, r.t_ns);
-        out << R"(,"args":{"cwnd":)" << fmt_value(v) << "}}";
+        out.put(R"({"cat":"cwnd","name":")", tracks[r.track], R"( cwnd","ph":"C","pid":)", pid,
+                R"(,"ts":)", Ts{r.t_ns}, R"(,"args":{"cwnd":)", v, "}}");
         break;
       }
       case RecordKind::kFaultDrop:
-        put_instant("fault.drop", r.track, r.t_ns, span_name(r.a));
+        put_instant("fault.drop", r, true);
         break;
       case RecordKind::kFaultEvent:
-        put_instant("fault.event", r.track, r.t_ns, "");
+        put_instant("fault.event", r, false);
         break;
       case RecordKind::kFecRepair:
-        put_instant("fec.repair", r.track, r.t_ns, span_name(r.a), "window_len", r.b);
+        put_instant("fec.repair", r, true, "window_len");
         break;
       case RecordKind::kFecDecode:
-        put_instant("fec.decode", r.track, r.t_ns, span_name(r.a), "rank", r.b);
+        put_instant("fec.decode", r, true, "rank");
         break;
       case RecordKind::kEventDispatch:
-        put_instant(tag_name(static_cast<EventTag>(r.a)).data(), r.track, r.t_ns, "");
+        put_instant(tag_name(static_cast<EventTag>(r.a)), r, false);
         break;
       case RecordKind::kKindCount:
         break;
@@ -213,32 +239,43 @@ void write_trace_process(std::ostream& out, const FlightRecorder& rec, int pid,
 
   // Packets still queued when the run ended: close their spans at the last
   // timestamp so every "b" has a matching "e".
-  for (const auto& [key, id] : open) {
-    const std::int64_t ns = last_ns > open_t[key] ? last_ns : open_t[key];
-    put_async('e', key.first, key.second, id, ns);
+  for (const auto& [key, span] : open) {
+    put_async('e', key.first, key.second, span.id, last_ns > span.t_ns ? last_ns : span.t_ns);
   }
+}
+
+// The JSON array around one trace_event process per recorder; process k + 1
+// is named name(k).
+template <typename Name>
+void write_trace(std::ostream& out, const std::vector<const FlightRecorder*>& recs, Name name) {
+  TraceBuffer buf(out);
+  buf.put("[\n");
+  bool first = true;
+  std::uint64_t next_id = 1;
+  for (std::size_t k = 0; k < recs.size(); ++k) {
+    write_trace_process(buf, *recs[k], static_cast<int>(k) + 1, name(k), first, next_id);
+  }
+  buf.put("\n]\n");
+  buf.flush();
 }
 
 }  // namespace
 
 void write_chrome_trace(std::ostream& out, const FlightRecorder& rec) {
-  out << "[\n";
-  bool first = true;
-  std::uint64_t next_id = 1;
-  write_trace_process(out, rec, 1, "lossburst", first, next_id);
-  out << "\n]\n";
+  write_trace(out, {&rec}, [](std::size_t) { return std::string("lossburst"); });
 }
 
 void write_chrome_trace(std::ostream& out,
                         const std::vector<const FlightRecorder*>& shards) {
-  out << "[\n";
-  bool first = true;
-  std::uint64_t next_id = 1;
-  for (std::size_t k = 0; k < shards.size(); ++k) {
-    write_trace_process(out, *shards[k], static_cast<int>(k) + 1,
-                        "shard " + std::to_string(k), first, next_id);
-  }
-  out << "\n]\n";
+  write_trace(out, shards, [](std::size_t k) { return "shard " + std::to_string(k); });
+}
+
+void write_artifact(const std::filesystem::path& path,
+                    const std::function<void(std::ostream&)>& write) {
+  std::ofstream f(path);
+  write(f);
+  f.close();
+  if (!f) throw std::runtime_error("cannot write " + path.string());
 }
 
 void export_artifacts(const ObsConfig& cfg, const Telemetry& telemetry,
@@ -246,17 +283,11 @@ void export_artifacts(const ObsConfig& cfg, const Telemetry& telemetry,
   if (!cfg.enabled()) return;
   std::filesystem::create_directories(cfg.dir);
   const std::string base = cfg.dir + "/" + cfg.prefix;
-  {
-    std::ofstream f(base + "intervals.csv");
-    series.write_csv(f);
-  }
-  {
-    std::ofstream f(base + "trace.json");
-    write_chrome_trace(f, telemetry.recorder());
-  }
+  write_artifact(base + "intervals.csv", [&](std::ostream& f) { series.write_csv(f); });
+  write_artifact(base + "trace.json",
+                 [&](std::ostream& f) { write_chrome_trace(f, telemetry.recorder()); });
   if (const LoopProfiler* prof = telemetry.profiler()) {
-    std::ofstream f(base + "profile.txt");
-    prof->report(f);
+    write_artifact(base + "profile.txt", [&](std::ostream& f) { prof->report(f); });
   }
 }
 

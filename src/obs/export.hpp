@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstddef>
+#include <filesystem>
+#include <functional>
 #include <ostream>
 #include <vector>
 
@@ -55,14 +57,21 @@ void write_chrome_trace(std::ostream& out, const FlightRecorder& rec);
 
 /// Multi-recorder variant for sharded runs: one trace_event process (pid)
 /// per recorder, named "shard <k>", with each shard's tracks as that
-/// process's threads. Passing a single recorder emits byte-identical output
-/// to the single-recorder overload (pid 1, process "lossburst").
+/// process's threads. Passing a single recorder emits the single-recorder
+/// overload's output (pid 1) with the process named "shard 0".
 void write_chrome_trace(std::ostream& out,
                         const std::vector<const FlightRecorder*>& shards);
 
+/// Create `path`, hand the stream to `write`, and throw std::runtime_error
+/// naming the path if it could not be opened or any write or the final
+/// flush failed. Every exported artifact goes through here.
+void write_artifact(const std::filesystem::path& path,
+                    const std::function<void(std::ostream&)>& write);
+
 /// Write every artifact the config asks for into cfg.dir (created if
 /// missing): <prefix>intervals.csv, <prefix>trace.json and, when profiling,
-/// <prefix>profile.txt. No-op when cfg.enabled() is false.
+/// <prefix>profile.txt. No-op when cfg.enabled() is false. Throws
+/// std::runtime_error naming the first artifact that could not be written.
 void export_artifacts(const ObsConfig& cfg, const Telemetry& telemetry,
                       const IntervalSeries& series);
 

@@ -7,15 +7,23 @@
 // any of them has changed a figure, not just an implementation. Determinism
 // within one build is covered by test_determinism.cpp — these tests pin the
 // numbers across builds and rewrites.
+//
+// The GoldenDigestTest.*Artifacts tests pin the bytes of the --obs-dir
+// exports the same way: a formatter that is wrong identically on every run
+// passes a run-vs-run comparison but moves these digests.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "core/dumbbell_experiment.hpp"
 #include "inet/shard_campaign.hpp"
+#include "obs/trace_ring.hpp"
 
 namespace lossburst {
 namespace {
@@ -35,6 +43,20 @@ std::string hex(std::uint64_t v) {
   char buf[19];
   std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
   return buf;
+}
+
+// FNV-1a over a file's bytes.
+std::string file_digest(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  EXPECT_TRUE(in.good()) << p;
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_FALSE(bytes.empty()) << p;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return hex(h);
 }
 
 void mix_counters(Fnv& d, const fault::FaultCounters& c) {
@@ -106,7 +128,7 @@ TEST(GoldenDigestTest, FaultedDumbbell) {
 // backbone. With two regions each region is its own shard, so the faulted
 // link is the cut: the Gilbert verdicts are drawn on the sending side and the
 // surviving packets cross through the boundary hop.
-TEST(GoldenDigestTest, ShardCampaignGilbertOnCut) {
+inet::ShardCampaignConfig quick_campaign() {
   inet::ShardCampaignConfig cfg;
   cfg.seed = 4242;
   cfg.shards = 2;
@@ -119,7 +141,11 @@ TEST(GoldenDigestTest, ShardCampaignGilbertOnCut) {
   cfg.fault_backbone = true;
   cfg.gilbert_p = 0.05;
   cfg.gilbert_q = 0.3;
-  const auto r = inet::run_shard_campaign(cfg);
+  return cfg;
+}
+
+TEST(GoldenDigestTest, ShardCampaignGilbertOnCut) {
+  const auto r = inet::run_shard_campaign(quick_campaign());
   ASSERT_GT(r.epochs, 0u);
   ASSERT_GT(r.fault_totals.gilbert_drops, 0u);
   Fnv d;
@@ -130,6 +156,41 @@ TEST(GoldenDigestTest, ShardCampaignGilbertOnCut) {
   EXPECT_EQ(r.fault_totals.gilbert_drops, 568u);
   EXPECT_EQ(r.probes_received, 12232u);
   EXPECT_EQ(hex(d.h), "0xa3b9e576c9543731");
+}
+
+// The observed quick dumbbell's interval CSV and Chrome trace, default
+// sampling interval, ring capacity and trace kinds.
+TEST(GoldenDigestTest, ObservedDumbbellArtifacts) {
+  const auto dir = std::filesystem::temp_directory_path() / "lossburst_golden_dumbbell";
+  std::filesystem::remove_all(dir);
+  core::DumbbellExperimentConfig cfg = quick_dumbbell();
+  cfg.obs.dir = dir.string();
+  cfg.obs.prefix = "g_";
+  const auto r = core::run_dumbbell_experiment(cfg);
+  EXPECT_EQ(r.total_drops, 4968u);
+  EXPECT_EQ(file_digest(dir / "g_intervals.csv"), "0xbf8afafe4660baaf");
+  if (obs::kTraceCompiledIn) {
+    EXPECT_EQ(file_digest(dir / "g_trace.json"), "0xb6a4dbfac12e7d99");
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The K = 2 campaign's per-shard interval CSVs and its multi-recorder trace
+// (one trace_event process per shard).
+TEST(GoldenDigestTest, ShardCampaignArtifacts) {
+  const auto dir = std::filesystem::temp_directory_path() / "lossburst_golden_campaign";
+  std::filesystem::remove_all(dir);
+  inet::ShardCampaignConfig cfg = quick_campaign();
+  cfg.obs.dir = dir.string();
+  cfg.obs.prefix = "g_";
+  const auto r = inet::run_shard_campaign(cfg);
+  EXPECT_EQ(r.probes_received, 12232u);
+  EXPECT_EQ(file_digest(dir / "g_s0_intervals.csv"), "0x3d06ef81622bce64");
+  EXPECT_EQ(file_digest(dir / "g_s1_intervals.csv"), "0xc74906916bb000aa");
+  if (obs::kTraceCompiledIn) {
+    EXPECT_EQ(file_digest(dir / "g_trace.json"), "0x58971727961d14d3");
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

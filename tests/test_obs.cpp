@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <stdexcept>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -17,6 +23,7 @@
 #include "net/queue.hpp"
 #include "net/trace.hpp"
 #include "obs/export.hpp"
+#include "obs/format.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/tags.hpp"
@@ -24,6 +31,7 @@
 #include "obs/trace_ring.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -146,6 +154,78 @@ TEST(IntervalSeriesTest, CountersExportAsDeltasGaugesRaw) {
             "time_s,events,depth\n"
             "0.100000000,5,2.5\n"
             "0.200000000,7,1\n");  // counter delta 12-5, gauge raw
+}
+
+// ---------------------------------------------------------------------------
+// Number formatting: the exporters' formatter against the printf formats it
+// stands for. The artifact digests in test_golden.cpp cover what the dumbbell
+// happens to emit; this covers every double and time the formatter can meet.
+
+TEST(ExportFormatTest, NumberFieldsMatchPrintf) {
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  auto expect_same = [&](const char* want, const char* begin, const char* end,
+                         const char* what) {
+    ++checked;
+    if (std::string_view(begin, static_cast<std::size_t>(end - begin)) == want) return;
+    if (++mismatches <= 10) {
+      ADD_FAILURE() << what << ": printf \"" << want << "\" vs \""
+                    << std::string_view(begin, static_cast<std::size_t>(end - begin)) << '"';
+    }
+  };
+  auto check_number = [&](double v) {
+    char want[64];
+    std::snprintf(want, sizeof want, "%.10g", v);
+    char got[obs::kNumberChars];
+    expect_same(want, got, obs::put_number(got, v), "%.10g");
+  };
+  auto check_time = [&](std::int64_t ns) {
+    char want[64];
+    char got[2 * obs::kNumberChars];
+    std::snprintf(want, sizeof want, "%lld.%09lld", static_cast<long long>(ns / 1'000'000'000),
+                  static_cast<long long>(ns % 1'000'000'000));
+    expect_same(want, got, obs::put_fixed(got, ns, 9), "%lld.%09lld");
+    std::snprintf(want, sizeof want, "%lld.%03lld", static_cast<long long>(ns / 1000),
+                  static_cast<long long>(ns % 1000));
+    expect_same(want, got, obs::put_fixed(got, ns, 3), "%lld.%03lld");
+  };
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v :
+       {0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.1, 1.0 / 3.0, nan, -nan, kInf, -kInf, 1e10, -1e10,
+        std::nextafter(1e10, 0.0), std::nextafter(1e10, kInf), std::nextafter(-1e10, 0.0),
+        std::nextafter(-1e10, -kInf), 9999999999.0, -9999999999.0, 9999999999.5,
+        9999999999.4, 99999999995.0, 1e-4, 1e-5, 0.00012345678905, 123456789.0,
+        1234567890.5, 2147483648.0, 4294967296.0, 9007199254740992.0, DBL_MIN, -DBL_MIN,
+        DBL_TRUE_MIN, -DBL_TRUE_MIN, std::nextafter(DBL_MIN, 0.0), DBL_MAX, -DBL_MAX,
+        DBL_EPSILON}) {
+    check_number(v);
+  }
+  // Per draw: a random bit pattern, an integer in +-2e10 and a dyadic
+  // fraction (an integer over a power of two).
+  util::Rng rng(20260412);
+  for (int i = 0; i < 400'000; ++i) {
+    check_number(std::bit_cast<double>(rng.next()));
+    check_number(static_cast<double>(rng.uniform_int(-20'000'000'000, 20'000'000'000)));
+    const int shift = static_cast<int>(rng.uniform_int(1, 40));
+    check_number(std::ldexp(static_cast<double>(rng.uniform_int(-(1 << 30), 1 << 30)), -shift));
+  }
+
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  for (const std::int64_t ns :
+       {std::int64_t{0}, std::int64_t{1}, std::int64_t{7}, std::int64_t{999}, std::int64_t{1000},
+        std::int64_t{1001}, std::int64_t{999'999'999}, std::int64_t{1'000'000'000},
+        std::int64_t{1'000'000'001}, std::int64_t{10'000'000'000'000}, kMax, std::int64_t{-1},
+        std::int64_t{-999}, std::int64_t{-1000}, std::int64_t{-999'999'999},
+        std::int64_t{-1'000'000'001}, kMin}) {
+    check_time(ns);
+  }
+  for (int i = 0; i < 200'000; ++i) check_time(rng.uniform_int(0, 10'000'000'000'000));
+
+  EXPECT_EQ(mismatches, 0u) << "of " << checked;
+  EXPECT_GE(checked, 1'600'000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -447,6 +527,22 @@ TEST(ObsExportTest, RunWritesWellFormedArtifacts) {
     EXPECT_GT(events.size(), 100u);  // under LOSSBURST_TRACE=0 only metadata remains
   }
   expect_spans_paired(events);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ObsExportTest, UnwritableArtifactThrowsNamingThePath) {
+  // A directory squatting on the CSV's path: the stream cannot open, and
+  // the run must say so rather than return as if the artifact were there.
+  const auto dir = std::filesystem::temp_directory_path() / "lossburst_obs_unwritable";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "t_intervals.csv");
+  try {
+    core::run_dumbbell_experiment(small_obs_config(dir.string()));
+    ADD_FAILURE() << "export into an unwritable path returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find((dir / "t_intervals.csv").string()), std::string::npos)
+        << e.what();
+  }
   std::filesystem::remove_all(dir);
 }
 

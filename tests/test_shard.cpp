@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/gilbert.hpp"
@@ -178,6 +181,33 @@ TEST(ShardCampaign, ByteIdenticalAcrossShardCounts) {
     }
     EXPECT_GT(run.epochs, 0u) << "shards = " << k;
   }
+}
+
+TEST(ShardCampaign, UnwritableArtifactThrowsNamingThePath) {
+  // A directory squatting on shard 1's CSV path: the campaign must throw
+  // rather than return with the artifact missing.
+  const auto dir = std::filesystem::temp_directory_path() / "lossburst_shard_unwritable";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "u_s1_intervals.csv");
+  inet::ShardCampaignConfig cfg;
+  cfg.seed = 5;
+  cfg.shards = 2;
+  cfg.regions = 2;
+  cfg.sites = 8;
+  cfg.flows = 4;
+  cfg.duration = 200_ms;
+  cfg.obs.dir = dir.string();
+  cfg.obs.prefix = "u_";
+  try {
+    inet::run_shard_campaign(cfg);
+    ADD_FAILURE() << "export into an unwritable path returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find((dir / "u_s1_intervals.csv").string()),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(std::filesystem::is_regular_file(dir / "u_s0_intervals.csv"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardCampaign, GilbertRecoveryIsShardCountIndependent) {
