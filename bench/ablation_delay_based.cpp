@@ -57,15 +57,13 @@ void mixed_run(bool full) {
   std::printf("csv-b: %.2f,%.2f\n", vegas, reno);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const bool full = bench::full_mode(argc, argv);
+int run(const lossburst::util::Flags& flags) {
+  const bool full = flags.flag("full");
 
   bench::print_header("ABL-DELAY", "delay-based (Vegas) vs loss-based (NewReno) control",
                       "delay signals avoid the bursty loss process altogether");
 
-  const bool serial = lossburst::bench::serial_mode(argc, argv);
+  const bool serial = flags.flag("serial");
 
   std::printf("(a) all-of-one-kind dumbbell, 16 flows, 45 s\n");
   std::printf("%10s %10s %12s %12s\n", "variant", "drops", "util", "goodputMbps");
@@ -100,3 +98,7 @@ int main(int argc, char** argv) {
   std::puts("starving (full starvation needs a persistent standing queue).");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kSweepFlags, run); }

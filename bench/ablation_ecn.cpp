@@ -16,9 +16,9 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = flags.flag("full");
 
   bench::print_header("ABL-ECN", "persistent ECN vs DropTail in the Figure-7 competition",
                       "ECN signal covers all flows -> paced deficit collapses");
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   };
 
   // Independent runs (same seed, different queue config) across the pool.
-  const bool serial = bench::serial_mode(argc, argv);
+  const bool serial = flags.flag("serial");
   std::vector<core::CompetitionResult> results(configs.size());
   const bench::WallTimer timer;
   bench::run_sweep(configs.size(), serial, [&](std::size_t i) {
@@ -65,3 +65,5 @@ int main(int argc, char** argv) {
               "rows should cut the deficit substantially (the [22] proposal's claim).\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kSweepFlags, run); }

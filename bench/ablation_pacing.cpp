@@ -37,10 +37,6 @@ double jain_index(const std::vector<double>& xs) {
   return sum * sum / (static_cast<double>(xs.size()) * sumsq);
 }
 
-}  // namespace
-
-namespace {
-
 struct FairnessRow {
   std::size_t n = 0;
   bool paced = false;
@@ -82,16 +78,14 @@ FairnessRow long_flow_fairness(bool paced, std::size_t n, std::uint64_t seed) {
                      util::coefficient_of_variation(mbps), jain_index(mbps)};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = flags.flag("full");
 
   bench::print_header("ABL-PACE", "uniform window-based vs uniform paced deployments",
                       "all-rate-based -> fairer, more predictable per-flow throughput");
 
-  const bool serial = bench::serial_mode(argc, argv);
+  const bool serial = flags.flag("serial");
 
   std::printf("(a) long-flow throughput fairness, 100 Mbps / 50 ms, 60 s\n");
   std::printf("%8s %10s %12s %12s %10s\n", "flows", "mode", "mean_mbps", "cov", "jain");
@@ -159,3 +153,7 @@ int main(int argc, char** argv) {
               "under plain NewReno is slow.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kSweepFlags, run); }

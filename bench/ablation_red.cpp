@@ -11,9 +11,9 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = flags.flag("full");
 
   bench::print_header("ABL-RED", "queue discipline ablation: DropTail vs RED",
                       "RED randomizes drops -> much weaker sub-RTT clustering");
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   // Plan: each (discipline, seed) pair is one independent run; seeds fixed
   // up front so pooling per discipline is identical serial or parallel.
-  const bool serial = bench::serial_mode(argc, argv);
+  const bool serial = flags.flag("serial");
   const std::vector<std::uint64_t> seeds = {501, 502, 503};
   std::vector<core::DumbbellExperimentResult> results(rows.size() * seeds.size());
   const bench::WallTimer timer;
@@ -77,3 +77,5 @@ int main(int argc, char** argv) {
               "than DropTail — randomized early drops break up the overflow bursts.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kSweepFlags, run); }

@@ -13,14 +13,14 @@
 #include "bench_util.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = flags.flag("full");
 
   bench::print_header("ABL-SACK", "NewReno vs SACK across the paper's experiments",
                       "SACK fixes recovery, not loss-event visibility");
 
-  const bool serial = bench::serial_mode(argc, argv);
+  const bool serial = flags.flag("serial");
 
   std::printf("(a) Figure-7 competition, 16 paced vs 16 window-based\n");
   std::printf("%10s %14s %14s %12s\n", "recovery", "paced_mbps", "window_mbps", "deficit");
@@ -77,3 +77,5 @@ int main(int argc, char** argv) {
   std::puts("latencies for both sender types.");
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kSweepFlags, run); }

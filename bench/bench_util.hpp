@@ -7,8 +7,8 @@
 #include <string>
 
 #include "core/burstiness_study.hpp"
-#include "fault/plan.hpp"
-#include "obs/telemetry.hpp"
+#include "core/front_end.hpp"
+#include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lossburst::bench {
@@ -37,78 +37,15 @@ inline void print_pdf_csv(const analysis::LossIntervalAnalysis& a) {
   }
 }
 
-/// Returns true when the caller passed --full (longer paper-scale runs).
-inline bool full_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--full") return true;
-  }
-  return false;
-}
+using util::run_main;
 
-/// Returns true when the caller passed --serial (disable the thread pool;
-/// used to verify that pooled results are bit-identical to serial order).
-inline bool serial_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--serial") return true;
-  }
-  return false;
-}
+/// --full: longer paper-scale runs. Every figure bench accepts it.
+inline const util::FlagSet kFullFlag = {{"full", "", "paper-scale runs (slow)"}};
 
-/// Parse the telemetry flags shared by the fig benches into an ObsConfig:
-///   --obs-dir=DIR       export interval CSV + Chrome trace JSON into DIR
-///   --obs-interval=MS   metric sampling period (default 100 ms)
-///   --obs-trace-cap=N   flight-recorder capacity in records (default 16384,
-///                       sized to stay cache-resident; the ring keeps the
-///                       newest N, so this also bounds the trace JSON to
-///                       roughly N * 100 bytes)
-///   --obs-profile       also write the event-loop wall-time profile
-/// Telemetry stays disabled (zero overhead) unless --obs-dir is given.
-inline obs::ObsConfig obs_config(int argc, char** argv, const std::string& prefix) {
-  obs::ObsConfig cfg;
-  cfg.prefix = prefix;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    if (arg.rfind("--obs-dir=", 0) == 0) {
-      cfg.dir = arg.substr(10);
-    } else if (arg.rfind("--obs-interval=", 0) == 0) {
-      cfg.interval = util::Duration::millis(std::stoll(arg.substr(15)));
-    } else if (arg.rfind("--obs-trace-cap=", 0) == 0) {
-      cfg.trace_capacity = static_cast<std::size_t>(std::stoull(arg.substr(16)));
-    } else if (arg == "--obs-profile") {
-      cfg.profile = true;
-    }
-  }
-  return cfg;
-}
-
-/// Parse the fault-injection flags shared by the fig benches:
-///   --fault-plan=FILE   impairment schedule (src/fault/plan.hpp format)
-///   --fault-seed=N      override the plan's RNG seed
-/// Returns false after printing the parser's line-numbered error; callers
-/// must exit non-zero without running (a bad plan never half-applies).
-inline bool fault_config(int argc, char** argv, fault::FaultPlan* out) {
-  std::string path;
-  bool have_seed = false;
-  std::uint64_t seed = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    if (arg.rfind("--fault-plan=", 0) == 0) {
-      path = arg.substr(13);
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      have_seed = true;
-      seed = std::stoull(arg.substr(13));
-    }
-  }
-  if (path.empty()) return true;
-  const fault::PlanParseResult parsed = fault::parse_plan_file(path);
-  if (!parsed.ok) {
-    std::fprintf(stderr, "error: bad fault plan: %s\n", parsed.error.c_str());
-    return false;
-  }
-  *out = parsed.plan;
-  if (have_seed) out->seed = seed;
-  return true;
-}
+/// --full plus --serial (disable the thread pool; used to verify that pooled
+/// results are bit-identical to serial order), for the benches that sweep.
+inline const util::FlagSet kSweepFlags =
+    kFullFlag + util::FlagSet{{"serial", "", "run the sweep without the thread pool"}};
 
 inline void print_obs_artifacts(const obs::ObsConfig& cfg) {
   if (!cfg.enabled()) return;
@@ -158,3 +95,6 @@ void run_sweep(std::size_t n, bool serial, Fn&& fn) {
 }
 
 }  // namespace lossburst::bench
+
+// Lets each bench's one-line main() name the helpers above.
+namespace bench = lossburst::bench;

@@ -13,9 +13,9 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = flags.flag("full");
 
   bench::print_header("EQ1-2", "loss-event visibility: rate-based vs window-based",
                       "L_rate = min(M,N) >> L_win = max(M/K, 1)");
@@ -53,3 +53,5 @@ int main(int argc, char** argv) {
               "behind Figure 7's unfairness.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kFullFlag, run); }

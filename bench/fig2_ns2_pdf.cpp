@@ -14,11 +14,11 @@
 #include "analysis/dispersion.hpp"
 #include "analysis/episodes.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
-  const bool serial = bench::serial_mode(argc, argv);
-  const obs::ObsConfig obs = bench::obs_config(argc, argv, "fig2_");
+  const bool full = flags.flag("full");
+  const bool serial = flags.flag("serial");
+  const obs::ObsConfig obs = core::obs_config(flags, "fig2_");
 
   bench::print_header("FIG2", "PDF of inter-loss time (NS-2-style simulation)",
                       ">95% of losses within 0.01 RTT; far above Poisson at sub-RTT");
@@ -117,4 +117,8 @@ int main(int argc, char** argv) {
   }
   bench::print_obs_artifacts(obs);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, bench::kSweepFlags + lossburst::core::kObsFlags, run);
 }

@@ -11,10 +11,10 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
-  const bool serial = bench::serial_mode(argc, argv);
+  const bool full = flags.flag("full");
+  const bool serial = flags.flag("serial");
 
   bench::print_header("FIG3", "PDF of inter-loss time (Dummynet-style emulation)",
                       "~80% of losses within 0.01 RTT; still far above Poisson");
@@ -79,3 +79,5 @@ int main(int argc, char** argv) {
               merged.frac_below_001_rtt * 100.0);
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kSweepFlags, run); }

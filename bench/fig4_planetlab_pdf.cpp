@@ -12,9 +12,9 @@
 #include "bench_util.hpp"
 #include "inet/campaign.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = flags.flag("full");
 
   bench::print_header("FIG4+TAB1", "PDF of inter-loss time (synthetic PlanetLab campaign)",
                       "40% of losses < 0.01 RTT, 60% < 1 RTT; >> Poisson below 0.25 RTT");
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   cfg.warmup = util::Duration::seconds(5);
   // Path probes run across the campaign's thread pool; per-path seeds are
   // fixed at plan time, so --serial produces bit-identical pooled output.
-  const bool serial = bench::serial_mode(argc, argv);
+  const bool serial = flags.flag("serial");
   if (serial) cfg.threads = 1;
   const bench::WallTimer timer;
   const auto result = inet::run_campaign(cfg);
@@ -63,3 +63,5 @@ int main(int argc, char** argv) {
               result.pooled.frac_below_1_rtt * 100.0);
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kSweepFlags, run); }

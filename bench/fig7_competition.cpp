@@ -15,13 +15,12 @@
 #include "bench_util.hpp"
 #include "util/ascii_chart.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
-  const bool serial = bench::serial_mode(argc, argv);
-  const obs::ObsConfig obs = bench::obs_config(argc, argv, "fig7_");
-  fault::FaultPlan fault_plan;
-  if (!bench::fault_config(argc, argv, &fault_plan)) return 2;
+  const bool full = flags.flag("full");
+  const bool serial = flags.flag("serial");
+  const obs::ObsConfig obs = core::obs_config(flags, "fig7_");
+  const fault::FaultPlan fault_plan = core::fault_plan(flags);
 
   bench::print_header("FIG7", "TCP Pacing (16) vs TCP NewReno (16), 100 Mbps, 50 ms",
                       "paced aggregate ~17% below NewReno aggregate");
@@ -112,4 +111,9 @@ int main(int argc, char** argv) {
               serial ? "serial, --serial" : "thread pool");
   bench::print_obs_artifacts(obs);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  using namespace lossburst;
+  return util::run_main(argc, argv, bench::kSweepFlags + core::kObsFlags + core::kFaultFlags, run);
 }

@@ -18,17 +18,13 @@
 #include "bench_util.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
-  const bool serial = bench::serial_mode(argc, argv);
-  const obs::ObsConfig obs = bench::obs_config(argc, argv, "fig8_");
-  fault::FaultPlan fault_plan;
-  if (!bench::fault_config(argc, argv, &fault_plan)) return 2;
-  bool robust = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--robust") robust = true;
-  }
+  const bool full = flags.flag("full");
+  const bool serial = flags.flag("serial");
+  const obs::ObsConfig obs = core::obs_config(flags, "fig8_");
+  const fault::FaultPlan fault_plan = core::fault_plan(flags);
+  const bool robust = flags.flag("robust");
 
   bench::print_header("FIG8", "parallel-flow 64 MB transfer latency (normalized)",
                       "at 200 ms RTT latency spans ~2x-9x the lower bound, high variance");
@@ -112,4 +108,11 @@ int main(int argc, char** argv) {
               "with 200 ms RTT, latency varies from 11 s to 50 s (norm ~2-9).\n");
   bench::print_obs_artifacts(obs);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  using namespace lossburst;
+  const util::FlagSet robust = {{"robust", "", "robust transfer (watchdog, retry, re-striping)"}};
+  return util::run_main(
+      argc, argv, bench::kSweepFlags + core::kObsFlags + core::kFaultFlags + robust, run);
 }

@@ -565,9 +565,8 @@ BENCHMARK(BM_DumbbellSecond)->Unit(benchmark::kMillisecond);
 void BM_ObsOverhead(benchmark::State& state) {
   // Telemetry cost on the steady-state dumbbell second (same workload as
   // BM_DumbbellSecond). Three runtime configurations:
-  //   Arg 0  "detached"  no Telemetry attached. Under -DLOSSBURST_TRACE=0
-  //                      this is also exactly the compiled-out build: the
-  //                      instrumented call sites are dead code either way.
+  //   Arg 0  "detached"  no Telemetry attached: each instrumented call
+  //                      site costs one null check.
   //   Arg 1  "disabled"  Telemetry attached (metrics registered, recorder
   //                      configured) but recording off and no sampling —
   //                      the instrumented-but-idle hot path.

@@ -17,9 +17,9 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = flags.flag("full");
 
   bench::print_header("RED-TUNE", "RED parameter sensitivity on the Figure-2 dumbbell",
                       "RED parameter tunings are difficult (§5)");
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   // Every setting reruns the same seed (1500) so rows differ only by queue
   // tuning; runs are independent, so they sweep across the thread pool.
-  const bool serial = bench::serial_mode(argc, argv);
+  const bool serial = flags.flag("serial");
   std::vector<core::DumbbellExperimentResult> results(settings.size());
   const bench::WallTimer timer;
   bench::run_sweep(settings.size(), serial, [&](std::size_t si) {
@@ -77,3 +77,5 @@ int main(int argc, char** argv) {
   std::puts("depends on load — the §5 warning in numbers.");
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kSweepFlags, run); }

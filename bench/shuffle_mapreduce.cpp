@@ -15,9 +15,9 @@
 #include "core/shuffle_experiment.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = flags.flag("full");
 
   bench::print_header("SHUFFLE", "MapReduce all-to-all shuffle over a star network",
                       "future work: slow-start loss bursts gate the shuffle barrier");
@@ -56,3 +56,5 @@ int main(int argc, char** argv) {
   std::puts("the distributed-application cost of bursty losses, per the paper's §4.2.");
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kFullFlag, run); }

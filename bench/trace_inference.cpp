@@ -26,11 +26,11 @@
 #include "sim/simulator.hpp"
 #include "tcp/flow.hpp"
 
-int main(int argc, char** argv) {
+static int run(const lossburst::util::Flags& flags) {
   using namespace lossburst;
   using util::Duration;
   using util::TimePoint;
-  const bool full = bench::full_mode(argc, argv);
+  const bool full = flags.flag("full");
 
   bench::print_header("TRACE-INF", "TCP-trace loss inference vs router ground truth",
                       "trace inference cannot separate TCP burstiness from loss burstiness");
@@ -110,3 +110,5 @@ int main(int argc, char** argv) {
   std::puts("the paper measures with CBR probes and router drop traces instead.");
   return 0;
 }
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, bench::kFullFlag, run); }

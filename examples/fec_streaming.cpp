@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/fec_experiment.hpp"
+#include "util/flags.hpp"
 
 using namespace lossburst;
 
@@ -124,9 +125,7 @@ void print_cdf(const std::vector<Row>& rows) {
   }
 }
 
-}  // namespace
-
-int main() {
+int run(const util::Flags&) {
   std::puts("Streaming FEC on a 10 Mbps / 200 ms-RTT path, Gilbert(p=0.005,");
   std::puts("q=0.25) forward loss: mean burst 4 pkts, ~2% loss. 5000 symbols");
   std::puts("at 2 ms. All modes share a 12.5% redundancy budget.\n");
@@ -182,3 +181,7 @@ int main() {
   std::puts("survives outages no code rate can cover.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return lossburst::util::run_main(argc, argv, {}, run); }

@@ -12,6 +12,7 @@
 #include "net/trace.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/flow.hpp"
+#include "util/flags.hpp"
 
 using namespace lossburst;
 using util::Duration;
@@ -38,9 +39,7 @@ class StreamingTracer final : public net::QueueTracer {
   TimePoint last_;
 };
 
-}  // namespace
-
-int main() {
+int run(const util::Flags&) {
   sim::Simulator sim(123);
   net::Network network(sim);
 
@@ -79,3 +78,7 @@ int main() {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return lossburst::util::run_main(argc, argv, {}, run); }

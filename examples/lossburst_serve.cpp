@@ -11,13 +11,11 @@
 // to one configured cold with the same settings.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <limits>
 #include <thread>
 
 #include "analysis/gilbert.hpp"
-#include "fault/plan.hpp"
+#include "core/front_end.hpp"
 #include "obs/live/publisher.hpp"
 #include "serve/scenario.hpp"
 #include "serve/server.hpp"
@@ -26,65 +24,37 @@ using namespace lossburst;
 
 namespace {
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --port N         listen port (default 0 = ephemeral, printed)\n"
-      "  --seed N         simulation seed (default 1)\n"
-      "  --flows N        persistent TCP flows (default 4)\n"
-      "  --slots N        dynamic add-flow slots (default 4)\n"
-      "  --duration-s N   simulated horizon in seconds (default 30)\n"
-      "  --interval-ms N  publish/sample interval (default 100)\n"
-      "  --fault-plan F   cold fault plan file applied at construction\n"
-      "  --obs-dir D      also export CSV/trace artifacts to D\n"
-      "  --wait-run       hold the simulation until a client sends run\n",
-      argv0);
-}
+const util::FlagSet kFlags = {
+    {"port", "N", "listen port (default 0 = ephemeral, printed)"},
+    {"seed", "N", "simulation seed (default 1)"},
+    {"flows", "N", "persistent TCP flows (default 4)"},
+    {"slots", "N", "dynamic add-flow slots (default 4)"},
+    {"duration-s", "N", "simulated horizon in seconds (default 30)"},
+    {"interval-ms", "N", "publish/sample interval (default 100)"},
+    {"fault-plan", "F", "cold fault plan file applied at construction"},
+    core::kObsDirFlag,
+    {"wait-run", "", "hold the simulation until a client sends run"},
+    {"help", "", "print this help"},
+};
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::uint16_t port = 0;
-  serve::ServeScenarioConfig cfg;
-  bool wait_run = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(next()));
-    } else if (a == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (a == "--flows") {
-      cfg.tcp_flows = static_cast<std::size_t>(std::atoll(next()));
-    } else if (a == "--slots") {
-      cfg.dynamic_slots = static_cast<std::size_t>(std::atoll(next()));
-    } else if (a == "--duration-s") {
-      cfg.duration = util::Duration::seconds(std::atoll(next()));
-    } else if (a == "--interval-ms") {
-      cfg.obs.interval = util::Duration::millis(std::atoll(next()));
-    } else if (a == "--fault-plan") {
-      const fault::PlanParseResult parsed = fault::parse_plan_file(next());
-      if (!parsed.ok) {
-        std::fprintf(stderr, "fault plan: %s\n", parsed.error.c_str());
-        return 2;
-      }
-      cfg.fault = parsed.plan;
-    } else if (a == "--obs-dir") {
-      cfg.obs.dir = next();
-      cfg.obs.prefix = "serve_";
-    } else if (a == "--wait-run") {
-      wait_run = true;
-    } else {
-      usage(argv[0]);
-      return a == "--help" || a == "-h" ? 0 : 2;
-    }
+int run(const util::Flags& flags) {
+  if (flags.flag("help")) {
+    std::fputs(util::usage_text("lossburst_serve", flags.spec()).c_str(), stdout);
+    return 0;
   }
+  const auto port = static_cast<std::uint16_t>(flags.integer("port", 0, 0, 65'535));
+  serve::ServeScenarioConfig cfg;
+  cfg.seed = flags.integer("seed", cfg.seed, 0, std::numeric_limits<std::uint64_t>::max());
+  cfg.tcp_flows = static_cast<std::size_t>(flags.integer("flows", cfg.tcp_flows, 0, 1024));
+  cfg.dynamic_slots =
+      static_cast<std::size_t>(flags.integer("slots", cfg.dynamic_slots, 0, 1024));
+  cfg.duration = util::Duration::seconds(
+      static_cast<std::int64_t>(flags.integer("duration-s", 30, 1, 86'400)));
+  cfg.fault = core::fault_plan(flags);
+  cfg.obs = core::obs_config(flags, "serve_");
+  cfg.obs.interval = util::Duration::millis(
+      static_cast<std::int64_t>(flags.integer("interval-ms", 100, 10, 60'000)));
+  const bool wait_run = flags.flag("wait-run");
 
   obs::live::LivePublisher pub;
   serve::ControlQueue control;
@@ -130,3 +100,7 @@ int main(int argc, char** argv) {
   server.stop();
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, kFlags, run); }

@@ -5,8 +5,9 @@
 #include <iostream>
 
 #include "core/burstiness_study.hpp"
+#include "util/flags.hpp"
 
-int main() {
+static int run(const lossburst::util::Flags&) {
   using namespace lossburst;
 
   core::DumbbellExperimentConfig cfg;
@@ -30,3 +31,5 @@ int main() {
   std::cout << core::render_loss_pdf_chart(r.loss, "PDF of inter-loss time (quickstart)");
   return 0;
 }
+
+int main(int argc, char** argv) { return lossburst::util::run_main(argc, argv, {}, run); }

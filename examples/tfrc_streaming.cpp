@@ -18,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "tcp/flow.hpp"
 #include "util/stats.hpp"
+#include "util/flags.hpp"
 
 using namespace lossburst;
 using util::Duration;
@@ -75,9 +76,7 @@ Outcome run(bool paced_bulk) {
   return out;
 }
 
-}  // namespace
-
-int main() {
+int run_demo(const util::Flags&) {
   std::puts("One TFRC media stream + 7 bulk TCP flows, 100 Mbps / 50 ms, 60 s.");
   std::puts("Fair share would be 12.5 Mbps each.\n");
 
@@ -95,3 +94,7 @@ int main() {
   std::puts("application needs TFRC for media, run the bulk transfers paced too.");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return lossburst::util::run_main(argc, argv, {}, run_demo); }

@@ -258,14 +258,12 @@ void Link::fault_drop(PacketHandle h, fault::FaultCause cause) {
 void Link::fault_drop_via(PacketHandle h, fault::FaultCause cause,
                           fault::LinkFaultState* origin) {
   const Packet& p = pool_[h];
-  if constexpr (obs::kTraceCompiledIn) {
-    if (obs::FlightRecorder* rec =
-            obs::trace_recorder(sim_.telemetry(), obs::RecordKind::kFaultDrop)) {
-      const std::uint16_t track =
-          (origin != nullptr && origin->obs_track != 0) ? origin->obs_track : obs_track_;
-      rec->record(obs::RecordKind::kFaultDrop, sim_.now().ns(), track,
-                  obs::pack_packet(p.flow, p.seq), static_cast<std::uint32_t>(cause));
-    }
+  if (obs::FlightRecorder* rec =
+          obs::trace_recorder(sim_.telemetry(), obs::RecordKind::kFaultDrop)) {
+    const std::uint16_t track =
+        (origin != nullptr && origin->obs_track != 0) ? origin->obs_track : obs_track_;
+    rec->record(obs::RecordKind::kFaultDrop, sim_.now().ns(), track,
+                obs::pack_packet(p.flow, p.seq), static_cast<std::uint32_t>(cause));
   }
   if (origin != nullptr && origin->tracer != nullptr) {
     origin->tracer->on_drop(sim_.now(), p, queue_->len_packets());
@@ -274,14 +272,12 @@ void Link::fault_drop_via(PacketHandle h, fault::FaultCause cause,
 }
 
 void Link::fault_record_event(bool enter, fault::FaultCause cause) {
-  if constexpr (obs::kTraceCompiledIn) {
-    if (obs::FlightRecorder* rec =
-            obs::trace_recorder(sim_.telemetry(), obs::RecordKind::kFaultEvent)) {
-      const std::uint16_t track =
-          (fault_ != nullptr && fault_->obs_track != 0) ? fault_->obs_track : obs_track_;
-      rec->record(obs::RecordKind::kFaultEvent, sim_.now().ns(), track, enter ? 1u : 0u,
-                  static_cast<std::uint32_t>(cause));
-    }
+  if (obs::FlightRecorder* rec =
+          obs::trace_recorder(sim_.telemetry(), obs::RecordKind::kFaultEvent)) {
+    const std::uint16_t track =
+        (fault_ != nullptr && fault_->obs_track != 0) ? fault_->obs_track : obs_track_;
+    rec->record(obs::RecordKind::kFaultEvent, sim_.now().ns(), track, enter ? 1u : 0u,
+                static_cast<std::uint32_t>(cause));
   }
 }
 
@@ -304,12 +300,10 @@ void Link::deliver(PacketHandle h) {
     fault_drop_via(h, fault::FaultCause::kCorrupt, p.corrupted_by);
     return;
   }
-  if constexpr (obs::kTraceCompiledIn) {
-    if (obs::FlightRecorder* rec =
-            obs::trace_recorder(sim_.telemetry(), obs::RecordKind::kPktDeliver)) {
-      rec->record(obs::RecordKind::kPktDeliver, sim_.now().ns(), obs_track_,
-                  obs::pack_packet(p.flow, p.seq), 0);
-    }
+  if (obs::FlightRecorder* rec =
+          obs::trace_recorder(sim_.telemetry(), obs::RecordKind::kPktDeliver)) {
+    rec->record(obs::RecordKind::kPktDeliver, sim_.now().ns(), obs_track_,
+                obs::pack_packet(p.flow, p.seq), 0);
   }
   Endpoint* sink = p.sink;
   sink->receive(p, pool_.options_of(p));

@@ -88,20 +88,14 @@ class Queue {
   [[nodiscard]] PacketPool& pool() { return *pool_; }
   [[nodiscard]] Packet& pkt(PacketHandle h) { return (*pool_)[h]; }
 
-  /// Flight-recorder hook shared by all report paths. Compiles away under
-  /// LOSSBURST_TRACE=0; otherwise costs one or two predictable branches
-  /// when telemetry is detached or the record kind is masked off.
+  /// Flight-recorder hook shared by all report paths. Costs one or two
+  /// predictable branches when telemetry is detached or the record kind is
+  /// masked off.
   void obs_record(obs::RecordKind k, const Packet& p, std::size_t qlen) {
-    if constexpr (obs::kTraceCompiledIn) {
-      if (sim_ == nullptr) return;
-      if (obs::FlightRecorder* rec = obs::trace_recorder(sim_->telemetry(), k)) {
-        rec->record(k, now().ns(), obs_track_, obs::pack_packet(p.flow, p.seq),
-                    static_cast<std::uint32_t>(qlen));
-      }
-    } else {
-      (void)k;
-      (void)p;
-      (void)qlen;
+    if (sim_ == nullptr) return;
+    if (obs::FlightRecorder* rec = obs::trace_recorder(sim_->telemetry(), k)) {
+      rec->record(k, now().ns(), obs_track_, obs::pack_packet(p.flow, p.seq),
+                  static_cast<std::uint32_t>(qlen));
     }
   }
 

@@ -280,13 +280,11 @@ void ShardedNetwork::ShardCtx::drain_inbound() {
     fault::LinkFaultState* st = origin->fault();
     LOSSBURST_INVARIANT(st != nullptr,
                         "a remote drop report names a link with no fault state");
-    if constexpr (obs::kTraceCompiledIn) {
-      if (obs::FlightRecorder* rec =
-              obs::trace_recorder(sim->telemetry(), obs::RecordKind::kFaultDrop)) {
-        rec->record(obs::RecordKind::kFaultDrop, r.at_ns, st->obs_track,
-                    obs::pack_packet(r.pkt.flow, r.pkt.seq),
-                    static_cast<std::uint32_t>(fault::FaultCause::kCorrupt));
-      }
+    if (obs::FlightRecorder* rec =
+            obs::trace_recorder(sim->telemetry(), obs::RecordKind::kFaultDrop)) {
+      rec->record(obs::RecordKind::kFaultDrop, r.at_ns, st->obs_track,
+                  obs::pack_packet(r.pkt.flow, r.pkt.seq),
+                  static_cast<std::uint32_t>(fault::FaultCause::kCorrupt));
     }
     if (st->tracer != nullptr) {
       // Queue length 0: the delivering queue's occupancy is on the far side
@@ -352,12 +350,10 @@ void ShardedNetwork::ShardCtx::fire(std::uint32_t slot) {
     pkt.corrupted_by->tracer->on_drop(sim->now(), pkt, 0);
     return;
   }
-  if constexpr (obs::kTraceCompiledIn) {
-    if (obs::FlightRecorder* rec =
-            obs::trace_recorder(sim->telemetry(), obs::RecordKind::kPktDeliver)) {
-      rec->record(obs::RecordKind::kPktDeliver, sim->now().ns(), 0,
-                  obs::pack_packet(pkt.flow, pkt.seq), 0);
-    }
+  if (obs::FlightRecorder* rec =
+          obs::trace_recorder(sim->telemetry(), obs::RecordKind::kPktDeliver)) {
+    rec->record(obs::RecordKind::kPktDeliver, sim->now().ns(), 0,
+                obs::pack_packet(pkt.flow, pkt.seq), 0);
   }
   LOSSBURST_INVARIANT(pkt.sink != nullptr, "cross-shard packet with no sink");
   pkt.sink->receive(pkt, opt);

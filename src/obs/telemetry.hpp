@@ -75,16 +75,10 @@ class Telemetry {
 /// The instrumentation-site idiom: resolve an optional Telemetry* down to a
 /// FlightRecorder* that is non-null only when this record kind should be
 /// written. Compiles to two branches when telemetry is attached, one when
-/// it is not — and to nothing at all under LOSSBURST_TRACE=0.
+/// it is not.
 inline FlightRecorder* trace_recorder(Telemetry* t, RecordKind k) {
-  if constexpr (!kTraceCompiledIn) {
-    (void)t;
-    (void)k;
-    return nullptr;
-  } else {
-    if (t == nullptr || !t->recorder().should(k)) return nullptr;
-    return &t->recorder();
-  }
+  if (t == nullptr || !t->recorder().should(k)) return nullptr;
+  return &t->recorder();
 }
 
 }  // namespace lossburst::obs

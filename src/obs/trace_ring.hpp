@@ -6,13 +6,8 @@
 // load or thread placement. The ring drops the oldest record on wrap — a
 // flight recorder keeps the most recent window, it never stalls or grows.
 //
-// Gating is two-level:
-//  - Compile time: build with -DLOSSBURST_TRACE=0 (CMake option
-//    LOSSBURST_TRACE=OFF) and every record call site is dead code — the
-//    instrumented hot paths compile down to exactly the un-instrumented
-//    ones.
-//  - Runtime: a per-kind bitmask plus a master enable; a disabled recorder
-//    costs the hot path one null/flag check.
+// Gating is at runtime: a per-kind bitmask plus a master enable; a disabled
+// recorder costs the hot path one null/flag check.
 #pragma once
 
 #include <array>
@@ -20,13 +15,7 @@
 #include <string>
 #include <vector>
 
-#ifndef LOSSBURST_TRACE
-#define LOSSBURST_TRACE 1
-#endif
-
 namespace lossburst::obs {
-
-inline constexpr bool kTraceCompiledIn = LOSSBURST_TRACE != 0;
 
 enum class RecordKind : std::uint8_t {
   kEventDispatch = 0,  ///< engine dispatched an event (a = EventTag)

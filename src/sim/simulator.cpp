@@ -7,85 +7,19 @@
 namespace lossburst::sim {
 
 std::uint64_t Simulator::run_until(TimePoint until) {
-  if (telemetry_ != nullptr) return run_until_observed(until);
-  std::uint64_t ran = 0;
-  stop_requested_ = false;
-  while (!queue_.empty()) {
-    const TimePoint t = queue_.next_time();
-    if (t > until) break;
-    LOSSBURST_INVARIANT(t >= now_, "simulated clock would move backwards");
-    now_ = t;
-    queue_.pop_and_run();
-    ++ran;
-    ++executed_;
-    if (stop_requested_) break;
-  }
-  // Advance the clock to the horizon so subsequent scheduling (e.g. a second
-  // run_until phase) starts from a consistent time.
-  if (!stop_requested_ && until != TimePoint::max() && now_ < until) now_ = until;
-  return ran;
+  return telemetry_ != nullptr ? dispatch<true, true>(until) : dispatch<false, true>(until);
 }
 
-// Epoch slice for the shard coordinator: strictly-before horizon, no
-// end-of-slice clock advance. Same structure as run_until so the serial and
-// sharded hot loops stay line-for-line comparable.
 std::uint64_t Simulator::run_before(TimePoint horizon) {
-  if (telemetry_ != nullptr) return run_before_observed(horizon);
-  std::uint64_t ran = 0;
-  stop_requested_ = false;
-  while (!queue_.empty()) {
-    const TimePoint t = queue_.next_time();
-    if (t >= horizon) break;
-    LOSSBURST_INVARIANT(t >= now_, "simulated clock would move backwards");
-    now_ = t;
-    queue_.pop_and_run();
-    ++ran;
-    ++executed_;
-    if (stop_requested_) break;
-  }
-  return ran;
+  return telemetry_ != nullptr ? dispatch<true, false>(horizon)
+                               : dispatch<false, false>(horizon);
 }
 
-std::uint64_t Simulator::run_before_observed(TimePoint horizon) {
-  // lossburst-lint: allow(wall-clock): loop profiler measures host time per event; results see only simulated time
-  using Clock = std::chrono::steady_clock;
-  obs::LoopProfiler* prof = telemetry_->profiler();
-  obs::FlightRecorder* rec =
-      obs::trace_recorder(telemetry_, obs::RecordKind::kEventDispatch);
-  std::uint64_t ran = 0;
-  stop_requested_ = false;
-  while (!queue_.empty()) {
-    const TimePoint t = queue_.next_time();
-    if (t >= horizon) break;
-    LOSSBURST_INVARIANT(t >= now_, "simulated clock would move backwards");
-    now_ = t;
-    const std::uint64_t units_before = link_units_;
-    if (prof != nullptr) {
-      const Clock::time_point start = Clock::now();
-      queue_.pop_and_run();
-      const auto wall_ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count();
-      prof->record(queue_.last_dispatch_tag(), wall_ns, link_units_ - units_before);
-    } else {
-      queue_.pop_and_run();
-    }
-    if (rec != nullptr) {
-      rec->record(obs::RecordKind::kEventDispatch, t.ns(), 0,
-                  static_cast<std::uint64_t>(queue_.last_dispatch_tag()),
-                  static_cast<std::uint32_t>(link_units_ - units_before));
-    }
-    ++ran;
-    ++executed_;
-    if (stop_requested_) break;
-  }
-  return ran;
-}
-
-// Same loop with the telemetry hooks. Kept separate so the detached path —
-// the one micro-benchmarks and parallel sweeps run — carries no per-event
-// branches at all. The profiler/recorder gates are resolved once per call;
-// toggling them mid-run takes effect at the next run_until.
-std::uint64_t Simulator::run_until_observed(TimePoint until) {
+// The detached instantiations (what micro-benchmarks and parallel sweeps run)
+// carry no per-event telemetry branch. The profiler/recorder gates are
+// resolved once per call; toggling them mid-run takes effect at the next run.
+template <bool Observed, bool Inclusive>
+std::uint64_t Simulator::dispatch(TimePoint bound) {
   // Wall-clock audit (DESIGN.md §9): this is the only steady_clock use in
   // the simulation core. The measured interval brackets pop_and_run and
   // flows *only* into LoopProfiler::record — never into now_, the event
@@ -94,38 +28,50 @@ std::uint64_t Simulator::run_until_observed(TimePoint until) {
   // same reason.
   // lossburst-lint: allow(wall-clock): loop profiler measures host time per event; results see only simulated time
   using Clock = std::chrono::steady_clock;
-  obs::LoopProfiler* prof = telemetry_->profiler();
-  obs::FlightRecorder* rec =
-      obs::trace_recorder(telemetry_, obs::RecordKind::kEventDispatch);
+  obs::LoopProfiler* prof = nullptr;
+  obs::FlightRecorder* rec = nullptr;
+  if constexpr (Observed) {
+    prof = telemetry_->profiler();
+    rec = obs::trace_recorder(telemetry_, obs::RecordKind::kEventDispatch);
+  }
   std::uint64_t ran = 0;
   stop_requested_ = false;
   while (!queue_.empty()) {
     const TimePoint t = queue_.next_time();
-    if (t > until) break;
+    if (Inclusive ? t > bound : t >= bound) break;
     LOSSBURST_INVARIANT(t >= now_, "simulated clock would move backwards");
     now_ = t;
-    const std::uint64_t units_before = link_units_;
-    if (prof != nullptr) {
-      const Clock::time_point start = Clock::now();
-      queue_.pop_and_run();
-      const auto wall_ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count();
-      prof->record(queue_.last_dispatch_tag(), wall_ns, link_units_ - units_before);
+    if constexpr (Observed) {
+      const std::uint64_t units_before = link_units_;
+      if (prof != nullptr) {
+        const Clock::time_point start = Clock::now();
+        queue_.pop_and_run();
+        const auto wall_ns =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start)
+                .count();
+        prof->record(queue_.last_dispatch_tag(), wall_ns, link_units_ - units_before);
+      } else {
+        queue_.pop_and_run();
+      }
+      LOSSBURST_INVARIANT(now_ == t,
+                          "profiler instrumentation must not advance the simulated clock");
+      if (rec != nullptr) {
+        rec->record(obs::RecordKind::kEventDispatch, t.ns(), 0,
+                    static_cast<std::uint64_t>(queue_.last_dispatch_tag()),
+                    static_cast<std::uint32_t>(link_units_ - units_before));
+      }
     } else {
       queue_.pop_and_run();
-    }
-    LOSSBURST_INVARIANT(now_ == t,
-                        "profiler instrumentation must not advance the simulated clock");
-    if (rec != nullptr) {
-      rec->record(obs::RecordKind::kEventDispatch, t.ns(), 0,
-                  static_cast<std::uint64_t>(queue_.last_dispatch_tag()),
-                  static_cast<std::uint32_t>(link_units_ - units_before));
     }
     ++ran;
     ++executed_;
     if (stop_requested_) break;
   }
-  if (!stop_requested_ && until != TimePoint::max() && now_ < until) now_ = until;
+  // run_until advances the clock to the horizon so later scheduling (e.g. a
+  // second run_until phase) starts from a consistent time.
+  if constexpr (Inclusive) {
+    if (!stop_requested_ && bound != TimePoint::max() && now_ < bound) now_ = bound;
+  }
   return ran;
 }
 

@@ -102,8 +102,12 @@ class Simulator {
   void count_link_unit() { ++link_units_; }
 
  private:
-  std::uint64_t run_until_observed(TimePoint until);
-  std::uint64_t run_before_observed(TimePoint horizon);
+  /// The one dispatch loop behind run_until (Inclusive: events at `bound`
+  /// run, then the clock advances to it) and run_before (events at `bound`
+  /// wait). Observed feeds the profiler / flight recorder; the detached
+  /// instantiation carries no per-event telemetry branch.
+  template <bool Observed, bool Inclusive>
+  std::uint64_t dispatch(TimePoint bound);
 
   EventQueue queue_;
   TimePoint now_ = TimePoint::zero();

@@ -95,13 +95,11 @@ void TcpSender::register_observability(obs::Telemetry& telemetry) {
 }
 
 void TcpSender::obs_cwnd() {
-  if constexpr (obs::kTraceCompiledIn) {
-    if (obs::FlightRecorder* rec =
-            obs::trace_recorder(sim_.telemetry(), obs::RecordKind::kCwnd)) {
-      std::uint64_t bits;
-      std::memcpy(&bits, &cwnd_, sizeof(bits));
-      rec->record(obs::RecordKind::kCwnd, sim_.now().ns(), obs_track_, bits, 0);
-    }
+  if (obs::FlightRecorder* rec =
+          obs::trace_recorder(sim_.telemetry(), obs::RecordKind::kCwnd)) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &cwnd_, sizeof(bits));
+    rec->record(obs::RecordKind::kCwnd, sim_.now().ns(), obs_track_, bits, 0);
   }
 }
 

@@ -169,9 +169,7 @@ TEST(GoldenDigestTest, ObservedDumbbellArtifacts) {
   const auto r = core::run_dumbbell_experiment(cfg);
   EXPECT_EQ(r.total_drops, 4968u);
   EXPECT_EQ(file_digest(dir / "g_intervals.csv"), "0xbf8afafe4660baaf");
-  if (obs::kTraceCompiledIn) {
-    EXPECT_EQ(file_digest(dir / "g_trace.json"), "0xb6a4dbfac12e7d99");
-  }
+  EXPECT_EQ(file_digest(dir / "g_trace.json"), "0xb6a4dbfac12e7d99");
   std::filesystem::remove_all(dir);
 }
 
@@ -187,9 +185,7 @@ TEST(GoldenDigestTest, ShardCampaignArtifacts) {
   EXPECT_EQ(r.probes_received, 12232u);
   EXPECT_EQ(file_digest(dir / "g_s0_intervals.csv"), "0x3d06ef81622bce64");
   EXPECT_EQ(file_digest(dir / "g_s1_intervals.csv"), "0xc74906916bb000aa");
-  if (obs::kTraceCompiledIn) {
-    EXPECT_EQ(file_digest(dir / "g_trace.json"), "0x58971727961d14d3");
-  }
+  EXPECT_EQ(file_digest(dir / "g_trace.json"), "0x58971727961d14d3");
   std::filesystem::remove_all(dir);
 }
 

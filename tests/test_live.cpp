@@ -378,9 +378,7 @@ TEST(LiveTraceStreamTest, GatedKindsNeverAppearInStreamedIntervals) {
     EXPECT_EQ(r.v0, 5.0);
     saw_drop_counts = true;
   }
-  if (obs::kTraceCompiledIn) {
-    EXPECT_TRUE(saw_drop_counts);
-  }
+  EXPECT_TRUE(saw_drop_counts);
 }
 
 TEST(LiveTraceStreamTest, RingWrapCountsLossNeverDoubleCounts) {
@@ -405,10 +403,8 @@ TEST(LiveTraceStreamTest, RingWrapCountsLossNeverDoubleCounts) {
     if (r.kind == static_cast<std::uint32_t>(SnapKind::kTraceKinds)) counted += r.v0;
     if (r.kind == static_cast<std::uint32_t>(SnapKind::kTraceDrops)) lost += r.v0;
   }
-  if (obs::kTraceCompiledIn) {
-    EXPECT_EQ(counted, 20.0);  // exact despite the wrap
-    EXPECT_EQ(lost, 12.0);     // ring coverage gap, reported once
-  }
+  EXPECT_EQ(counted, 20.0);  // exact despite the wrap
+  EXPECT_EQ(lost, 12.0);     // ring coverage gap, reported once
 
   // Interval 2: three more records. The totals are differenced per harvest,
   // so interval 1's records are not re-counted and no loss is re-reported.
@@ -421,10 +417,8 @@ TEST(LiveTraceStreamTest, RingWrapCountsLossNeverDoubleCounts) {
     if (r.kind == static_cast<std::uint32_t>(SnapKind::kTraceKinds)) counted += r.v0;
     if (r.kind == static_cast<std::uint32_t>(SnapKind::kTraceDrops)) lost += r.v0;
   }
-  if (obs::kTraceCompiledIn) {
-    EXPECT_EQ(counted, 3.0);
-    EXPECT_EQ(lost, 0.0);
-  }
+  EXPECT_EQ(counted, 3.0);
+  EXPECT_EQ(lost, 0.0);
 }
 
 TEST(RecorderCursorTest, HarvestIsDeltaBasedAndWrapAware) {

@@ -523,9 +523,7 @@ TEST(ObsExportTest, RunWritesWellFormedArtifacts) {
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.substr(json.size() - 2), "]\n");
   const auto events = parse_chrome_trace(json);
-  if (obs::kTraceCompiledIn) {
-    EXPECT_GT(events.size(), 100u);  // under LOSSBURST_TRACE=0 only metadata remains
-  }
+  EXPECT_GT(events.size(), 100u);
   expect_spans_paired(events);
   std::filesystem::remove_all(dir);
 }
