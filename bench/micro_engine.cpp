@@ -262,6 +262,58 @@ void BM_TimerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerChurn);
 
+constexpr std::int64_t kProbePeriodNs = 2'000'000;
+
+void BM_EventQueuePeriodicSources(benchmark::State& state) {
+  // The pending-set shape of the PlanetLab probe campaign (DESIGN.md §11):
+  // 1024 sources ticking every 2 ms with staggered phases, each tick
+  // putting a packet on a link (a transmit-done event ~12 us out, then an
+  // arrival one propagation delay later), and one timer 100 s out. Rungs
+  // sized by the pending set's span would stretch over that timer and send
+  // every event through the near heap; density-sized rungs keep it small.
+  // `allocs_per_op` must be 0.00 once the rung and overflow floors settle.
+  struct Campaign {
+    sim::EventQueue q;
+    util::Rng rng{15};
+
+    void tick(std::int64_t at) {
+      q.schedule(TimePoint(at + kProbePeriodNs), [this, at] { tick(at + kProbePeriodNs); });
+      const std::int64_t tx_done = at + 12'000 + rng.uniform_int(0, 4'000);
+      q.schedule(TimePoint(tx_done), [this, tx_done] {
+        q.schedule(TimePoint(tx_done + rng.uniform_int(500'000, 5'000'000)), [] {});
+      });
+    }
+  };
+  Campaign c;
+  for (int i = 0; i < 1024; ++i) {
+    const std::int64_t at = c.rng.uniform_int(0, kProbePeriodNs - 1);
+    c.q.schedule(TimePoint(at), [&c, at] { c.tick(at); });
+  }
+  c.q.schedule(TimePoint(100'000'000'000), [] {});
+  // Warm past the construction-time rung window (~134 ms) and its first
+  // reseeds, then until a full round allocates nothing.
+  std::int64_t now = 0;
+  while (now < 300'000'000) now = c.q.pop_and_run().ns();
+  for (int round = 0; round < 64; ++round) {
+    const std::uint64_t before = g_heap_allocs.load();
+    for (int i = 0; i < 65536; ++i) (void)c.q.pop_and_run();
+    if (g_heap_allocs.load() == before) break;
+  }
+  std::uint64_t ops = 0;
+  const std::uint64_t allocs_before = g_heap_allocs.load();
+  for (auto _ : state) {
+    (void)c.q.pop_and_run();
+    ++ops;
+  }
+  const std::uint64_t allocs = g_heap_allocs.load() - allocs_before;
+  state.counters["allocs_per_op"] =
+      static_cast<double>(allocs) / static_cast<double>(ops == 0 ? 1 : ops);
+  state.counters["allocs_total"] = static_cast<double>(allocs);
+  state.counters["near_size"] = static_cast<double>(c.q.near_size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueuePeriodicSources);
+
 void BM_Xoshiro(benchmark::State& state) {
   util::Rng rng(3);
   std::uint64_t acc = 0;

@@ -366,6 +366,10 @@ class EventQueue {
   [[nodiscard]] std::uint64_t cancelled_count() const { return cancelled_; }
   [[nodiscard]] std::size_t heap_high_water() const { return ladder_.high_water(); }
 
+  /// Entries in the scheduler's near heap right now (stale ones included):
+  /// what every dispatch sifts through (DESIGN.md §11).
+  [[nodiscard]] std::size_t near_size() const { return ladder_.near_size(); }
+
   /// Tag of the most recently dispatched event (valid after pop_and_run).
   [[nodiscard]] obs::EventTag last_dispatch_tag() const { return last_tag_; }
 
@@ -459,7 +463,8 @@ inline bool detail::LadderQueue::stale(const Entry& e) const {
 inline void detail::LadderQueue::ensure_front() {
   // Fast path: a live heap head that no unswept tier can precede. Mirrors
   // the authoritative-head test at the top of ensure_front_slow()'s loop;
-  // anything else (stale head, spent band, empty heap) takes the slow path.
+  // anything else (stale head — a consumed one is stale too, its slot was
+  // released — spent band, empty heap) takes the slow path.
   if (!heap_.empty() && !stale(heap_.front())) {
     if (rung_count_ == 0 && overflow_.empty()) return;
     if (heap_.front().at_ns < (rung_count_ > 0 ? horizon_ns_ : rung_end_ns_)) return;

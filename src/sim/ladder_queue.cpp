@@ -52,6 +52,7 @@ void LadderQueue::pop_heap_entry() {
 }
 
 void LadderQueue::ensure_front_slow() {
+  consumed_ = false;  // the consumed head is stale: the shedding below pops it
   for (;;) {
     // Shed cancelled entries that bubbled to the head (lazy deletion).
     while (!heap_.empty() && stale(heap_.front())) pop_heap_entry();
@@ -100,29 +101,44 @@ void LadderQueue::ensure_front_slow() {
 
 void LadderQueue::reseed_from_overflow() {
   // Every rung is spent: re-anchor the window at the earliest live overflow
-  // entry and pick the smallest power-of-two width that spans the whole
-  // overflow. Stale entries are dropped first so a cancelled far-future
-  // timer cannot inflate the span (and with it the bucket width).
+  // entry. Stale entries are dropped first so a cancelled timer is neither
+  // rescanned nor counted toward the window's cover.
   std::size_t live = 0;
   std::int64_t min_at = kMaxNs;
-  std::int64_t max_at = std::numeric_limits<std::int64_t>::min();
+  std::int64_t reach = std::numeric_limits<std::int64_t>::min();
   for (std::size_t r = 0; r < overflow_.size(); ++r) {
     const Entry e = overflow_[r];
     if (stale(e)) continue;
     overflow_[live++] = e;
     min_at = std::min(min_at, e.at_ns);
-    max_at = std::max(max_at, e.at_ns);
+    reach = std::max(reach, e.at_ns);
   }
   overflow_.resize(live);
   LOSSBURST_INVARIANT(live > 0,
                       "ladder queue advanced past every live entry: ensure_front() "
                       "called on a queue whose live counter disagrees with storage");
 
+  // Size the buckets by density: pick the smallest power-of-two width whose
+  // window reaches the cover-th earliest live entry, not the latest one, so
+  // a few far outliers cannot stretch the buckets over the whole pending
+  // set. The order of entries inside the unsorted overflow is immaterial,
+  // so nth_element may permute it. Covering at least an eighth of the
+  // overflow bounds the rescans of an entry that stays behind to about
+  // eight, keeping a reseed amortised O(1) per entry however large the
+  // overflow grows.
+  const std::size_t cover = std::max(kReseedCover, live / 8);
+  if (live > cover) {
+    const auto nth = overflow_.begin() + static_cast<std::ptrdiff_t>(cover - 1);
+    std::nth_element(overflow_.begin(), nth, overflow_.end(),
+                     [](const Entry& a, const Entry& b) { return a.at_ns < b.at_ns; });
+    reach = nth->at_ns;
+  }
+
   base_ns_ = min_at;
   horizon_ns_ = min_at;
   cursor_ = 0;
   shift_ = kMinShift;
-  const auto span = static_cast<std::uint64_t>(max_at - min_at);
+  const auto span = static_cast<std::uint64_t>(reach - min_at);
   while ((span >> shift_) >= kRungCount) ++shift_;
   // rung_end = base + kRungCount * width, saturating at the far end of time
   // (shift_ tops out at 57, where kRungCount << shift_ would wrap uint64).
@@ -136,19 +152,23 @@ void LadderQueue::reseed_from_overflow() {
                        : static_cast<std::int64_t>(end_u);
   }
 
-  // Raise the capacity floors to the live population before partitioning.
-  // Buckets must absorb their share of `live` plus the stale entries that
-  // accumulate until the owner's compaction trigger (total > 4x live), and
-  // the width rounding above can concentrate that total into as few as half
-  // the rungs (span >> shift lands anywhere in [kRungCount/2, kRungCount)),
-  // so the per-bucket peak is up to 4 * live / (kRungCount / 2). The floor
-  // ratchets monotonically in power-of-two steps: a live population that
-  // drifts up and down across reseeds (the sharded epoch workloads do this
-  // every epoch) must not re-derive a slightly different floor each time, or
+  // Raise the capacity floors before partitioning. The window reaches the
+  // cover-th entry with its width rounded up to a power of two, so it spans
+  // less than twice that reach: about 2 * cover entries at the density it
+  // was sized by, new schedules into it replacing dispatched ones. Stale
+  // entries can add up to 4x that before the owner's compaction trigger
+  // (total > 4x live), and the rounding can concentrate the reach into as
+  // few as half the rungs ((reach - base) >> shift lands anywhere in
+  // [kRungCount/2, kRungCount)), so the per-bucket peak is up to
+  // 8 * cover / (kRungCount / 2) = cover / 8 — exactly the construction
+  // floor kBucketReserve at the minimum cover. The floor ratchets
+  // monotonically in power-of-two steps: a live population that drifts up
+  // and down across reseeds (the sharded epoch workloads do this every
+  // epoch) must not re-derive a slightly different floor each time, or
   // steady state reallocates forever. Capacities persist across reseeds
   // (clear()/erase() never shrink), so each ratchet step allocates at most
   // once per population high-water — warm-up cost, not steady-state cost.
-  const std::size_t bucket_need = live * 12 / kRungCount + 64;
+  const std::size_t bucket_need = cover / 8;
   if (bucket_need > bucket_floor_) bucket_floor_ = std::bit_ceil(bucket_need);
   for (auto& bucket : rungs_) {
     if (bucket.capacity() < bucket_floor_) bucket.reserve(bucket_floor_);
@@ -158,9 +178,10 @@ void LadderQueue::reseed_from_overflow() {
   if (overflow_need > overflow_floor_) overflow_floor_ = std::bit_ceil(overflow_need);
   if (overflow_.capacity() < overflow_floor_) overflow_.reserve(overflow_floor_);
 
-  // Partition the survivors into the fresh rungs, in place. When rung_end
-  // saturated, the window covers everything by construction ((max-base) >>
-  // shift < kRungCount), including entries at exactly rung_end.
+  // Partition the survivors into the fresh rungs, in place; entries past the
+  // window stay in the overflow. When rung_end saturated, the window covers
+  // every representable time ((kMaxNs - base) >> shift < kRungCount),
+  // including entries at exactly rung_end.
   std::size_t keep = 0;
   for (std::size_t r = 0; r < overflow_.size(); ++r) {
     const Entry e = overflow_[r];
@@ -176,6 +197,7 @@ void LadderQueue::reseed_from_overflow() {
 }
 
 void LadderQueue::compact() {
+  consumed_ = false;  // the consumed head is stale: the sweep below drops it
   const auto is_stale = [this](const Entry& e) { return stale(e); };
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(), is_stale), heap_.end());
   if (heap_.size() > 1) {

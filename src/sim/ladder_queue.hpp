@@ -14,21 +14,28 @@
 //   [ rung_end, +inf )           overflow: one unsorted vector
 //
 // The heap is fed two ways and its membership overlaps the rung range:
-// push() sends anything below `direct_end` — a couple of buckets past the
-// sweep horizon, covering the serialization/RTT lead times the TCP
-// workloads schedule at — straight into the heap, so the steady-state
-// packet events never touch a rung at all. The rungs therefore hold only
-// what was far-future *when it was scheduled*; `horizon` tracks the sweep
-// cursor (rung entries are always >= horizon), and ensure_front() trusts
-// the heap head only while it is strictly below the earliest unswept tier
-// (horizon while rungs hold entries, rung_end otherwise) — otherwise the
-// next rung is swept into the heap (or the overflow re-partitioned into a
-// fresh rung window whose width adapts to its span) until the head is
-// provably global-minimum. Dispatch order is therefore exactly (time, seq)
-// — identical to a single global heap — while a far-future schedule costs
-// O(1) and a cancel costs O(1) *total*: cancelled far entries are filtered
-// out during the sweep (via the owner-provided staleness predicate) and
-// never touch the heap at all.
+// push() sends anything below `direct_end` — two buckets past the sweep
+// horizon — straight into the heap, and ensure_front() sweeps the next rung
+// into it whenever the heap head is not strictly below the earliest unswept
+// tier (horizon while rungs hold entries, rung_end otherwise). When every
+// rung is spent the overflow is re-partitioned into a fresh window sized by
+// *density*: its 128 buckets cover the earliest max(4 * kRungCount, live / 8)
+// live entries, not the overflow's whole span, so a handful of far timers
+// (RTOs, horizon ends) cannot widen the buckets until every pending event
+// falls into the direct band and the heap holds the whole pending set.
+// Entries past the window stay in the overflow for a later reseed; covering
+// at least live / 8 keeps that rescan amortised O(1) per entry.
+//
+// Dispatch is replace-top: consume_front() leaves the fired head in place
+// (it is stale once its slot is released), and the next near-band push
+// overwrites it and sifts down once — one heap pass, not a pop's sift-down
+// plus a push's sift-up, for every event that schedules its successor. If no
+// such push comes, ensure_front() or compact() discards the consumed head.
+//
+// Dispatch order is exactly (time, seq) — identical to a single global heap
+// — while a far-future schedule costs O(1) and a cancel costs O(1) *total*:
+// cancelled far entries are filtered out during the sweep (via the
+// owner-provided staleness predicate) and never touch the heap at all.
 //
 // Steady-state operation performs zero heap allocations once every vector
 // has reached its high-water capacity: buckets are cleared, not freed, and
@@ -69,9 +76,14 @@ class LadderQueue {
   using Entry = TimerEntry;
 
   static constexpr std::size_t kRungCount = 128;
-  /// Initial/minimum bucket width: 2^20 ns ~ 1 ms, about one bottleneck
-  /// queue-drain of events per bucket in the dumbbell workloads.
-  static constexpr int kMinShift = 20;
+  /// Bucket width of the construction-time window, before any reseed has
+  /// seen the pending set: 2^20 ns ~ 1 ms.
+  static constexpr int kInitialShift = 20;
+  /// Narrowest bucket a reseed may pick: 2^10 ns ~ 1 us.
+  static constexpr int kMinShift = 10;
+  /// Live entries a reseeded window covers (about four per rung), or an
+  /// eighth of the overflow's live entries when that is more.
+  static constexpr std::size_t kReseedCover = 4 * kRungCount;
   /// Construction-time capacity floors (see the constructor).
   static constexpr std::size_t kHeapReserve = 1024;
   static constexpr std::size_t kBucketReserve = 64;
@@ -98,11 +110,18 @@ class LadderQueue {
   void set_owner(const EventQueue* owner) { owner_ = owner; }
 
   /// Insert an entry into the tier its time falls in. O(log near) for the
-  /// near band, O(1) otherwise.
+  /// near band, O(1) otherwise. A near-band push after consume_front()
+  /// takes the consumed head's place.
   void push(const Entry& e) {
     if (e.at_ns < direct_end_ns_) {
-      heap_.push_back(e);
-      sift_up(heap_.size() - 1);
+      if (consumed_) {
+        consumed_ = false;
+        heap_.front() = e;
+        sift_down(0);
+      } else {
+        heap_.push_back(e);
+        sift_up(heap_.size() - 1);
+      }
     } else if (e.at_ns < rung_end_ns_) {
       rungs_[rung_index(e.at_ns)].push_back(e);
       ++rung_count_;
@@ -124,12 +143,20 @@ class LadderQueue {
   /// Valid after ensure_front().
   [[nodiscard]] const Entry& front() const { return heap_.front(); }
 
-  /// Remove the heap head (valid after ensure_front()).
-  void pop_front() { pop_heap_entry(); }
+  /// Mark the heap head as dispatched (valid after ensure_front()). It stays
+  /// in place until the next near-band push overwrites it or the next
+  /// ensure_front()/compact() discards it.
+  void consume_front() { consumed_ = true; }
 
-  /// Entries currently stored across all tiers, stale ones included.
+  /// Entries currently stored across all tiers, stale ones included, the
+  /// consumed head not.
   [[nodiscard]] std::size_t total_entries() const {
-    return heap_.size() + rung_count_ + overflow_.size();
+    return near_size() + rung_count_ + overflow_.size();
+  }
+
+  /// Entries in the near heap, stale ones included, the consumed head not.
+  [[nodiscard]] std::size_t near_size() const {
+    return heap_.size() - static_cast<std::size_t>(consumed_);
   }
 
   /// Largest total_entries() ever observed (engine telemetry).
@@ -179,10 +206,11 @@ class LadderQueue {
   // strictly forward (overflow entries are >= rung_end by construction).
   std::int64_t base_ns_ = 0;      ///< start of the rung window
   std::int64_t horizon_ns_ = 0;   ///< sweep frontier: base + cursor*width
-  std::int64_t rung_end_ns_ = static_cast<std::int64_t>(kRungCount) << kMinShift;
-  std::int64_t direct_end_ns_ = std::int64_t{2} << kMinShift;  ///< push() heap fast path
+  std::int64_t rung_end_ns_ = static_cast<std::int64_t>(kRungCount) << kInitialShift;
+  std::int64_t direct_end_ns_ = std::int64_t{2} << kInitialShift;  ///< push() heap fast path
   std::size_t cursor_ = 0;        ///< next rung to sweep
-  int shift_ = kMinShift;         ///< log2 of the rung width
+  int shift_ = kInitialShift;     ///< log2 of the rung width
+  bool consumed_ = false;         ///< heap_.front() was dispatched (replace-top)
 
   // Monotone capacity-floor ratchets (see reseed_from_overflow): derived
   // floors round up to powers of two and never decrease, so a fluctuating

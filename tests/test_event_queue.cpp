@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -382,6 +384,189 @@ TEST(EventQueueTest, CancelEntireOverflowThenScheduleNearAgain) {
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(q.size(), 0u);
+}
+
+namespace {
+
+// A script whose callbacks drive the queue from the inside: every fired
+// event schedules successors (the replace-top path), cancels itself, other
+// events or the current head, and asks next_time() mid-callback. The script
+// keeps its own (time, schedule order) set of pending events, so the oracle
+// is exact: every dispatch must be that set's minimum.
+class CallbackScript {
+ public:
+  explicit CallbackScript(std::uint64_t seed) : rng_(seed) {}
+
+  void schedule(std::int64_t at) {
+    const int id = static_cast<int>(handles_.size());
+    at_.push_back(at);
+    handles_.push_back(q_.schedule(TimePoint(at), [this, id] { fire(id); }));
+    pending_.emplace(at, id);
+    max_live_ = std::max(max_live_, pending_.size());
+  }
+
+  /// Run until `dispatches` events fired or the queue drained.
+  void run(int dispatches) {
+    for (int i = 0; i < dispatches && !q_.empty(); ++i) {
+      ASSERT_EQ(q_.next_time().ns(), pending_.begin()->first);
+      q_.pop_and_run();
+      if (::testing::Test::HasFailure()) return;
+      if ((i & 1023) == 0) q_.debug_validate();
+    }
+  }
+
+  /// Stop scheduling successors and run the queue dry.
+  void drain() {
+    spawning_ = false;
+    run(std::numeric_limits<int>::max());
+  }
+
+  EventQueue& queue() { return q_; }
+  std::size_t max_live() const { return max_live_; }
+  std::size_t pending() const { return pending_.size(); }
+
+ private:
+  std::int64_t offset() {
+    switch (rng_.next() % 8u) {
+      case 0: return static_cast<std::int64_t>(rng_.next() & 0x3FFu);          // near
+      case 1: return static_cast<std::int64_t>(rng_.next() & 0x7u);            // ties
+      case 2:                                                                  // far outliers
+        return 1'000'000'000 + static_cast<std::int64_t>(rng_.next() % 99'000'000'000ull);
+      case 3: return static_cast<std::int64_t>(rng_.next() % 16'000'000u);     // rungs
+      default: return 1'000 + static_cast<std::int64_t>(rng_.next() % 200'000u);  // link-like
+    }
+  }
+
+  void cancel(int id) {
+    if (!handles_[static_cast<std::size_t>(id)].pending()) return;
+    handles_[static_cast<std::size_t>(id)].cancel();
+    pending_.erase({at_[static_cast<std::size_t>(id)], id});
+  }
+
+  void fire(int id) {
+    const std::int64_t now = at_[static_cast<std::size_t>(id)];
+    ASSERT_FALSE(pending_.empty());
+    ASSERT_EQ(pending_.begin()->second, id) << "dispatch is not the (time, seq) minimum";
+    pending_.erase(pending_.begin());
+    // Population control: hover around 1500 live events, well above the
+    // ladder's reseed cover.
+    const std::uint64_t r = rng_.next();
+    int successors = pending_.size() < 1500 ? 1 + static_cast<int>(r % 3u)
+                                            : static_cast<int>(r % 2u);
+    if (!spawning_) successors = 0;
+    for (int i = 0; i < successors; ++i) {
+      if (rng_.next() % 8u == 0) {  // a 4-way equal-timestamp burst
+        const std::int64_t at = now + offset();
+        for (int k = 0; k < 4; ++k) schedule(at);
+      } else {
+        schedule(now + offset());
+      }
+    }
+    switch (rng_.next() % 8u) {
+      case 0:  // cancel itself: a fired event's handle is inert
+        cancel(id);
+        EXPECT_FALSE(handles_[static_cast<std::size_t>(id)].pending());
+        break;
+      case 1:  // cancel whatever fires next
+        if (!pending_.empty()) cancel(pending_.begin()->second);
+        break;
+      case 2:
+      case 3:  // cancel a random earlier schedule, fired or not
+        cancel(static_cast<int>(rng_.next() % handles_.size()));
+        break;
+      default:
+        break;
+    }
+    if (rng_.next() % 4u == 0 && !pending_.empty()) {
+      EXPECT_EQ(q_.next_time().ns(), pending_.begin()->first);
+    }
+  }
+
+  EventQueue q_;
+  util::Rng rng_;
+  std::vector<EventHandle> handles_;
+  std::vector<std::int64_t> at_;
+  std::set<std::pair<std::int64_t, int>> pending_;
+  std::size_t max_live_ = 0;
+  bool spawning_ = true;
+};
+
+}  // namespace
+
+TEST(EventQueueTest, DifferentialCallbacksScheduleAndCancel) {
+  // Callbacks that schedule, cancel and peek from inside the dispatch: the
+  // replace-top path (a near successor overwrites the consumed head), a
+  // head cancelled before it fires, next_time() discarding the consumed
+  // head mid-callback, and density-sized reseeds over a population larger
+  // than their cover with far outliers 1-100 s out.
+  for (const std::uint64_t seed : {0x5eedULL, 0xfeedULL, 0xbeefULL}) {
+    CallbackScript script(seed);
+    util::Rng start(seed ^ 0x51a7u);
+    for (int i = 0; i < 1000; ++i) {
+      script.schedule(static_cast<std::int64_t>(start.next() % 2'000'000u));
+    }
+    script.run(60'000);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+    EXPECT_GT(script.max_live(), detail::LadderQueue::kReseedCover);
+    script.drain();
+    EXPECT_TRUE(script.queue().empty());
+    EXPECT_EQ(script.pending(), 0u);
+  }
+}
+
+TEST(EventQueueTest, CompactionInsideACallbackDropsTheConsumedHead) {
+  // A callback whose cancels trigger compaction while its own dispatched
+  // entry still heads the heap, followed by a near schedule: the rebuilt
+  // heap's live head must not be mistaken for the consumed one and
+  // overwritten.
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventHandle> doomed;
+  for (int i = 0; i < 256; ++i) {
+    doomed.push_back(q.schedule(TimePoint(1000 + i), [] { FAIL(); }));
+  }
+  q.schedule(TimePoint(1), [&] {
+    order.push_back(1);
+    for (EventHandle& h : doomed) h.cancel();  // garbage passes 4:1: compact()
+    q.schedule(TimePoint(3), [&] { order.push_back(3); });
+  });
+  q.schedule(TimePoint(2), [&] { order.push_back(2); });
+  q.schedule(TimePoint(5), [&] { order.push_back(5); });
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5}));
+}
+
+TEST(EventQueueTest, PeriodicSourcesKeepTheNearHeapSmall) {
+  // The probe-campaign shape: 1024 sources ticking every 2 ms with
+  // staggered phases, plus one timer 100 s out. Sizing rungs by the span
+  // of the pending set would stretch the buckets over the 100 s outlier
+  // and put every tick into the near heap; density-sized rungs keep the
+  // heap at a few buckets' worth of ticks.
+  constexpr std::int64_t kPeriod = 2'000'000;
+  EventQueue q;
+  util::Rng rng(2024);
+  struct Tick {
+    EventQueue* q;
+    std::int64_t at;
+    void operator()() const { q->schedule(TimePoint(at + kPeriod), Tick{q, at + kPeriod}); }
+  };
+  for (int i = 0; i < 1024; ++i) {
+    const std::int64_t at = static_cast<std::int64_t>(rng.next() % kPeriod);
+    q.schedule(TimePoint(at), Tick{&q, at});
+  }
+  int far_fired = 0;
+  q.schedule(TimePoint(100'000'000'000), [&far_fired] { ++far_fired; });
+  std::size_t max_near = 0;
+  std::int64_t now = 0;
+  while (now < 600'000'000) {
+    now = q.pop_and_run().ns();
+    // The construction-time window (2^20 ns buckets) holds until the
+    // first reseed; judge the steady state after it.
+    if (now > 200'000'000) max_near = std::max(max_near, q.near_size());
+  }
+  EXPECT_EQ(far_fired, 0);
+  EXPECT_EQ(q.size(), 1025u);
+  EXPECT_LT(max_near, 64u);
 }
 
 TEST(EventQueueTest, QueueDestructorDestroysUnfiredCallbacks) {

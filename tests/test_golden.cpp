@@ -98,6 +98,19 @@ TEST(GoldenDigestTest, DropTailDumbbell) {
   EXPECT_EQ(hex(digest(r)), "0xc39b345f6afab38a");
 }
 
+// The same dumbbell behind a RED bottleneck with the default tuning. RED's
+// early drops depend on the average queue at each arrival, so same-instant
+// ties between arrivals and departures decide which packets die: a dispatch
+// order slip the DropTail digest might absorb moves this one.
+TEST(GoldenDigestTest, RedDumbbell) {
+  core::DumbbellExperimentConfig cfg = quick_dumbbell();
+  cfg.queue = net::QueueKind::kRed;
+  const auto r = core::run_dumbbell_experiment(cfg);
+  ASSERT_GT(r.total_drops, 100u) << "scenario must congest the bottleneck";
+  EXPECT_EQ(r.total_drops, 4558u);
+  EXPECT_EQ(hex(digest(r)), "0x79f3619d10c00249");
+}
+
 // The same dumbbell with every fault layer on the bottleneck, driven by the
 // FaultInjector's pre-scheduled edges: Gilbert loss, corruption and
 // duplication from t = 1 s, two 50 ms fiber-cut outages and three 20 ms
