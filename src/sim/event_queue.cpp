@@ -89,10 +89,7 @@ TimePoint EventQueue::pop_and_run() {
                       "event dispatch went backwards in simulated time");
   last_pop_ns_ = e.at_ns;
 #endif
-  // Replace-top dispatch: the head stays in the heap, stale once its slot
-  // is released below, and the callback's first near-band schedule (a
-  // link's next transmit, a source's next send) overwrites it.
-  ladder_.consume_front();
+  ladder_.pop_front();
   // Relocate the callback onto the stack and recycle the slot *before*
   // invoking: the callback may schedule new events (growing the slab) or
   // cancel anything, including a stale handle to itself (a no-op by then).

@@ -463,8 +463,7 @@ inline bool detail::LadderQueue::stale(const Entry& e) const {
 inline void detail::LadderQueue::ensure_front() {
   // Fast path: a live heap head that no unswept tier can precede. Mirrors
   // the authoritative-head test at the top of ensure_front_slow()'s loop;
-  // anything else (stale head — a consumed one is stale too, its slot was
-  // released — spent band, empty heap) takes the slow path.
+  // anything else (stale head, spent band, empty heap) takes the slow path.
   if (!heap_.empty() && !stale(heap_.front())) {
     if (rung_count_ == 0 && overflow_.empty()) return;
     if (heap_.front().at_ns < (rung_count_ > 0 ? horizon_ns_ : rung_end_ns_)) return;

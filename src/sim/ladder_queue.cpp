@@ -52,7 +52,6 @@ void LadderQueue::pop_heap_entry() {
 }
 
 void LadderQueue::ensure_front_slow() {
-  consumed_ = false;  // the consumed head is stale: the shedding below pops it
   for (;;) {
     // Shed cancelled entries that bubbled to the head (lazy deletion).
     while (!heap_.empty() && stale(heap_.front())) pop_heap_entry();
@@ -125,19 +124,24 @@ void LadderQueue::reseed_from_overflow() {
   // so nth_element may permute it. Covering at least an eighth of the
   // overflow bounds the rescans of an entry that stays behind to about
   // eight, keeping a reseed amortised O(1) per entry however large the
-  // overflow grows.
+  // overflow grows. An overflow no larger than the cover is spanned whole
+  // with the construction-time width as the floor: its few entries would
+  // leave narrow buckets mostly empty, and each empty bucket is one more
+  // sweep step, while a heap that small is cheap.
   const std::size_t cover = std::max(kReseedCover, live / 8);
+  int min_shift = kInitialShift;
   if (live > cover) {
     const auto nth = overflow_.begin() + static_cast<std::ptrdiff_t>(cover - 1);
     std::nth_element(overflow_.begin(), nth, overflow_.end(),
                      [](const Entry& a, const Entry& b) { return a.at_ns < b.at_ns; });
     reach = nth->at_ns;
+    min_shift = kMinShift;
   }
 
   base_ns_ = min_at;
   horizon_ns_ = min_at;
   cursor_ = 0;
-  shift_ = kMinShift;
+  shift_ = min_shift;
   const auto span = static_cast<std::uint64_t>(reach - min_at);
   while ((span >> shift_) >= kRungCount) ++shift_;
   // rung_end = base + kRungCount * width, saturating at the far end of time
@@ -161,7 +165,10 @@ void LadderQueue::reseed_from_overflow() {
   // few as half the rungs ((reach - base) >> shift lands anywhere in
   // [kRungCount/2, kRungCount)), so the per-bucket peak is up to
   // 8 * cover / (kRungCount / 2) = cover / 8 — exactly the construction
-  // floor kBucketReserve at the minimum cover. The floor ratchets
+  // floor kBucketReserve at the minimum cover. (A window widened by the
+  // 2^20 ns floor can gather its at most cover entries into fewer rungs; a
+  // bucket that outgrows the floor there keeps its capacity, so it too
+  // allocates once per high-water.) The floor ratchets
   // monotonically in power-of-two steps: a live population that drifts up
   // and down across reseeds (the sharded epoch workloads do this every
   // epoch) must not re-derive a slightly different floor each time, or
@@ -197,7 +204,6 @@ void LadderQueue::reseed_from_overflow() {
 }
 
 void LadderQueue::compact() {
-  consumed_ = false;  // the consumed head is stale: the sweep below drops it
   const auto is_stale = [this](const Entry& e) { return stale(e); };
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(), is_stale), heap_.end());
   if (heap_.size() > 1) {

@@ -24,13 +24,10 @@
 // (RTOs, horizon ends) cannot widen the buckets until every pending event
 // falls into the direct band and the heap holds the whole pending set.
 // Entries past the window stay in the overflow for a later reseed; covering
-// at least live / 8 keeps that rescan amortised O(1) per entry.
-//
-// Dispatch is replace-top: consume_front() leaves the fired head in place
-// (it is stale once its slot is released), and the next near-band push
-// overwrites it and sifts down once — one heap pass, not a pop's sift-down
-// plus a push's sift-up, for every event that schedules its successor. If no
-// such push comes, ensure_front() or compact() discards the consumed head.
+// at least live / 8 keeps that rescan amortised O(1) per entry. An overflow
+// no larger than the cover is spanned whole with buckets of at least 2^20 ns,
+// as before any reseed: a pending set that small is cheap to keep in the
+// heap, and narrower buckets would only add sweep steps over sparse rungs.
 //
 // Dispatch order is exactly (time, seq) — identical to a single global heap
 // — while a far-future schedule costs O(1) and a cancel costs O(1) *total*:
@@ -77,9 +74,10 @@ class LadderQueue {
 
   static constexpr std::size_t kRungCount = 128;
   /// Bucket width of the construction-time window, before any reseed has
-  /// seen the pending set: 2^20 ns ~ 1 ms.
+  /// seen the pending set, and the narrowest bucket of a window that spans
+  /// the whole overflow: 2^20 ns ~ 1 ms.
   static constexpr int kInitialShift = 20;
-  /// Narrowest bucket a reseed may pick: 2^10 ns ~ 1 us.
+  /// Narrowest bucket of a density-sized window: 2^10 ns ~ 1 us.
   static constexpr int kMinShift = 10;
   /// Live entries a reseeded window covers (about four per rung), or an
   /// eighth of the overflow's live entries when that is more.
@@ -110,18 +108,11 @@ class LadderQueue {
   void set_owner(const EventQueue* owner) { owner_ = owner; }
 
   /// Insert an entry into the tier its time falls in. O(log near) for the
-  /// near band, O(1) otherwise. A near-band push after consume_front()
-  /// takes the consumed head's place.
+  /// near band, O(1) otherwise.
   void push(const Entry& e) {
     if (e.at_ns < direct_end_ns_) {
-      if (consumed_) {
-        consumed_ = false;
-        heap_.front() = e;
-        sift_down(0);
-      } else {
-        heap_.push_back(e);
-        sift_up(heap_.size() - 1);
-      }
+      heap_.push_back(e);
+      sift_up(heap_.size() - 1);
     } else if (e.at_ns < rung_end_ns_) {
       rungs_[rung_index(e.at_ns)].push_back(e);
       ++rung_count_;
@@ -143,21 +134,16 @@ class LadderQueue {
   /// Valid after ensure_front().
   [[nodiscard]] const Entry& front() const { return heap_.front(); }
 
-  /// Mark the heap head as dispatched (valid after ensure_front()). It stays
-  /// in place until the next near-band push overwrites it or the next
-  /// ensure_front()/compact() discards it.
-  void consume_front() { consumed_ = true; }
+  /// Remove the heap head (valid after ensure_front()).
+  void pop_front() { pop_heap_entry(); }
 
-  /// Entries currently stored across all tiers, stale ones included, the
-  /// consumed head not.
+  /// Entries currently stored across all tiers, stale ones included.
   [[nodiscard]] std::size_t total_entries() const {
-    return near_size() + rung_count_ + overflow_.size();
+    return heap_.size() + rung_count_ + overflow_.size();
   }
 
-  /// Entries in the near heap, stale ones included, the consumed head not.
-  [[nodiscard]] std::size_t near_size() const {
-    return heap_.size() - static_cast<std::size_t>(consumed_);
-  }
+  /// Entries in the near heap, stale ones included.
+  [[nodiscard]] std::size_t near_size() const { return heap_.size(); }
 
   /// Largest total_entries() ever observed (engine telemetry).
   [[nodiscard]] std::size_t high_water() const { return high_water_; }
@@ -210,7 +196,6 @@ class LadderQueue {
   std::int64_t direct_end_ns_ = std::int64_t{2} << kInitialShift;  ///< push() heap fast path
   std::size_t cursor_ = 0;        ///< next rung to sweep
   int shift_ = kInitialShift;     ///< log2 of the rung width
-  bool consumed_ = false;         ///< heap_.front() was dispatched (replace-top)
 
   // Monotone capacity-floor ratchets (see reseed_from_overflow): derived
   // floors round up to powers of two and never decrease, so a fluctuating

@@ -389,8 +389,8 @@ TEST(EventQueueTest, CancelEntireOverflowThenScheduleNearAgain) {
 namespace {
 
 // A script whose callbacks drive the queue from the inside: every fired
-// event schedules successors (the replace-top path), cancels itself, other
-// events or the current head, and asks next_time() mid-callback. The script
+// event schedules successors, cancels itself, other events or the current
+// head, and asks next_time() mid-callback. The script
 // keeps its own (time, schedule order) set of pending events, so the oracle
 // is exact: every dispatch must be that set's minimum.
 class CallbackScript {
@@ -494,11 +494,11 @@ class CallbackScript {
 }  // namespace
 
 TEST(EventQueueTest, DifferentialCallbacksScheduleAndCancel) {
-  // Callbacks that schedule, cancel and peek from inside the dispatch: the
-  // replace-top path (a near successor overwrites the consumed head), a
-  // head cancelled before it fires, next_time() discarding the consumed
-  // head mid-callback, and density-sized reseeds over a population larger
-  // than their cover with far outliers 1-100 s out.
+  // Callbacks that schedule, cancel and peek from inside the dispatch: near
+  // successors scheduled while the dispatched event's slot is already
+  // recycled, a head cancelled before it fires, next_time() sweeping tiers
+  // mid-callback, and density-sized reseeds over a population larger than
+  // their cover with far outliers 1-100 s out.
   for (const std::uint64_t seed : {0x5eedULL, 0xfeedULL, 0xbeefULL}) {
     CallbackScript script(seed);
     util::Rng start(seed ^ 0x51a7u);
@@ -514,11 +514,10 @@ TEST(EventQueueTest, DifferentialCallbacksScheduleAndCancel) {
   }
 }
 
-TEST(EventQueueTest, CompactionInsideACallbackDropsTheConsumedHead) {
-  // A callback whose cancels trigger compaction while its own dispatched
-  // entry still heads the heap, followed by a near schedule: the rebuilt
-  // heap's live head must not be mistaken for the consumed one and
-  // overwritten.
+TEST(EventQueueTest, CompactionInsideACallbackKeepsDispatchOrder) {
+  // A callback whose cancels trigger compaction mid-dispatch, followed by a
+  // near schedule: the rebuilt heap must still fire the survivors and the
+  // new event in (time, seq) order.
   EventQueue q;
   std::vector<int> order;
   std::vector<EventHandle> doomed;
@@ -567,6 +566,25 @@ TEST(EventQueueTest, PeriodicSourcesKeepTheNearHeapSmall) {
   EXPECT_EQ(far_fired, 0);
   EXPECT_EQ(q.size(), 1025u);
   EXPECT_LT(max_near, 64u);
+}
+
+TEST(EventQueueTest, SmallOverflowKeepsMillisecondRungs) {
+  // 100 events 20 us apart, all past the construction-time window. An
+  // overflow no larger than the reseed cover is spanned whole with buckets
+  // of at least 2^20 ns, so the first bucket swept carries the ~53 events
+  // in its first millisecond into the heap at once; 2^14 ns buckets sized
+  // to the 2 ms span would carry one.
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 100; ++i) {
+    q.schedule(TimePoint(200'000'000 + std::int64_t{i} * 20'000),
+               [&order, i] { order.push_back(i); });
+  }
+  q.pop_and_run();
+  EXPECT_GE(q.near_size(), 40u);
+  while (!q.empty()) q.pop_and_run();
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(EventQueueTest, QueueDestructorDestroysUnfiredCallbacks) {
